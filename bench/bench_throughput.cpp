@@ -82,32 +82,6 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
-// The pre-hand-scheduling target_clones microkernel at the same shapes —
-// the interleaved same-binary baseline the hand-scheduled kernel's speedup
-// is measured against (reached through the forced-kernel seam; the
-// production dispatch never selects it). Mirrors matmul()'s result
-// allocation so the comparison includes identical overheads.
-void BM_MatmulClones(benchmark::State& state) {
-  const auto n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{n, n}, rng);
-  Tensor b = Tensor::randn(Shape{n, n}, rng);
-  for (auto _ : state) {
-    Tensor c(Shape{n, n});
-    if (!matmul_into_forced_kernel("clones", a.data(), b.data(), c.data(),
-                                   n, n, n)) {
-      state.SkipWithError("clones level unavailable");
-      return;
-    }
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel("clones");
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatmulClones)->Arg(64)->Arg(128)->Arg(256);
-#endif  // MTSR_TENSOR_OPS_FORCED_KERNELS
-
 // Wide conv-lowering GEMM geometry: short A (out-channels × taps) against
 // an enormous lowered-columns B (taps × N·oh·ow) — the exact product shape
 // the packed-B panel path targets.
@@ -126,27 +100,6 @@ void BM_WideLoweringGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_WideLoweringGemm)->Arg(8192)->Arg(32768);
 
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
-// target_clones baseline of the wide lowering product (see BM_MatmulClones).
-void BM_WideLoweringGemmClones(benchmark::State& state) {
-  const auto n = state.range(0);
-  Rng rng(7);
-  Tensor a = Tensor::randn(Shape{32, 288}, rng);
-  Tensor b = Tensor::randn(Shape{288, n}, rng);
-  for (auto _ : state) {
-    Tensor c(Shape{32, n});
-    if (!matmul_into_forced_kernel("clones", a.data(), b.data(), c.data(),
-                                   32, 288, n)) {
-      state.SkipWithError("clones level unavailable");
-      return;
-    }
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetLabel("clones");
-  state.SetItemsProcessed(state.iterations() * 32 * 288 * n);
-}
-BENCHMARK(BM_WideLoweringGemmClones)->Arg(8192)->Arg(32768);
-#endif  // MTSR_TENSOR_OPS_FORCED_KERNELS
 
 #ifdef MTSR_HAS_QUANT
 // The quantised GEMM at the same logical product as BM_WideLoweringGemm

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/check.hpp"
 #include "src/tensor/tensor_ops.hpp"
@@ -21,10 +22,29 @@ float cubic_kernel(float x) {
   return 0.f;
 }
 
-float sample_clamped(const Tensor& grid, std::int64_t r, std::int64_t c) {
-  r = std::clamp<std::int64_t>(r, 0, grid.dim(0) - 1);
-  c = std::clamp<std::int64_t>(c, 0, grid.dim(1) - 1);
-  return grid.at(r, c);
+// The four clamped source indices and Catmull-Rom weights of one output
+// coordinate along one axis.
+struct Taps {
+  std::int64_t index[4];
+  float weight[4];
+};
+
+// Taps of every output coordinate along an axis of `in_len` samples
+// upsampled by `factor`. Cell-centre alignment: fine centre (o+0.5) maps to
+// coarse coordinate (o+0.5)/factor - 0.5 in sample index space.
+std::vector<Taps> axis_taps(std::int64_t in_len, int factor) {
+  const float inv = 1.f / static_cast<float>(factor);
+  std::vector<Taps> taps(static_cast<std::size_t>(in_len * factor));
+  for (std::size_t o = 0; o < taps.size(); ++o) {
+    const float u = (static_cast<float>(o) + 0.5f) * inv - 0.5f;
+    const auto u0 = static_cast<std::int64_t>(std::floor(u));
+    const float fu = u - static_cast<float>(u0);
+    for (int i = 0; i < 4; ++i) {
+      taps[o].index[i] = std::clamp<std::int64_t>(u0 - 1 + i, 0, in_len - 1);
+      taps[o].weight[i] = cubic_kernel(fu - static_cast<float>(i - 1));
+    }
+  }
+  return taps;
 }
 
 }  // namespace
@@ -33,35 +53,22 @@ Tensor bicubic_upsample(const Tensor& coarse, int factor) {
   check(coarse.rank() == 2, "bicubic_upsample expects a rank-2 grid");
   check(factor >= 1, "bicubic_upsample requires factor >= 1");
   const std::int64_t h = coarse.dim(0), w = coarse.dim(1);
-  const std::int64_t oh = h * factor, ow = w * factor;
-  Tensor out(Shape{oh, ow});
-  const float inv = 1.f / static_cast<float>(factor);
-  for (std::int64_t r = 0; r < oh; ++r) {
-    // Cell-centre alignment: fine centre (r+0.5) maps to coarse coordinate
-    // (r+0.5)/factor - 0.5 in sample index space.
-    const float v = (static_cast<float>(r) + 0.5f) * inv - 0.5f;
-    const auto v0 = static_cast<std::int64_t>(std::floor(v));
-    const float fv = v - static_cast<float>(v0);
-    float wr[4];
-    for (int i = 0; i < 4; ++i) {
-      wr[i] = cubic_kernel(fv - static_cast<float>(i - 1));
-    }
-    for (std::int64_t c = 0; c < ow; ++c) {
-      const float u = (static_cast<float>(c) + 0.5f) * inv - 0.5f;
-      const auto u0 = static_cast<std::int64_t>(std::floor(u));
-      const float fu = u - static_cast<float>(u0);
-      float wc[4];
-      for (int i = 0; i < 4; ++i) {
-        wc[i] = cubic_kernel(fu - static_cast<float>(i - 1));
-      }
+  const std::vector<Taps> rows = axis_taps(h, factor);
+  const std::vector<Taps> cols = axis_taps(w, factor);
+  Tensor out(Shape{h * factor, w * factor});
+  const float* src = coarse.data();
+  float* dst = out.data();
+  for (const Taps& rt : rows) {
+    const float* line[4];
+    for (int i = 0; i < 4; ++i) line[i] = src + rt.index[i] * w;
+    for (const Taps& ct : cols) {
       float acc = 0.f;
       for (int i = 0; i < 4; ++i) {
         for (int j = 0; j < 4; ++j) {
-          acc += wr[i] * wc[j] *
-                 sample_clamped(coarse, v0 - 1 + i, u0 - 1 + j);
+          acc += rt.weight[i] * ct.weight[j] * line[i][ct.index[j]];
         }
       }
-      out.at(r, c) = acc;
+      *dst++ = acc;
     }
   }
   return out;
@@ -73,31 +80,20 @@ Tensor bicubic_upsample_adjoint(const Tensor& grad_fine, int factor) {
   const std::int64_t oh = grad_fine.dim(0), ow = grad_fine.dim(1);
   check(oh % factor == 0 && ow % factor == 0,
         "bicubic_upsample_adjoint: fine dims must be multiples of factor");
-  const std::int64_t h = oh / factor, w = ow / factor;
-  Tensor out(Shape{h, w});
-  const float inv = 1.f / static_cast<float>(factor);
-  for (std::int64_t r = 0; r < oh; ++r) {
-    const float v = (static_cast<float>(r) + 0.5f) * inv - 0.5f;
-    const auto v0 = static_cast<std::int64_t>(std::floor(v));
-    const float fv = v - static_cast<float>(v0);
-    float wr[4];
-    for (int i = 0; i < 4; ++i) {
-      wr[i] = cubic_kernel(fv - static_cast<float>(i - 1));
-    }
-    for (std::int64_t c = 0; c < ow; ++c) {
-      const float u = (static_cast<float>(c) + 0.5f) * inv - 0.5f;
-      const auto u0 = static_cast<std::int64_t>(std::floor(u));
-      const float fu = u - static_cast<float>(u0);
-      const float g = grad_fine.at(r, c);
+  const std::int64_t w = ow / factor;
+  const std::vector<Taps> rows = axis_taps(oh / factor, factor);
+  const std::vector<Taps> cols = axis_taps(w, factor);
+  Tensor out(Shape{oh / factor, w});
+  const float* src = grad_fine.data();
+  float* dst = out.data();
+  for (const Taps& rt : rows) {
+    for (const Taps& ct : cols) {
+      const float g = *src++;
       if (g == 0.f) continue;
       for (int i = 0; i < 4; ++i) {
-        const std::int64_t rr =
-            std::clamp<std::int64_t>(v0 - 1 + i, 0, h - 1);
+        float* line = dst + rt.index[i] * w;
         for (int j = 0; j < 4; ++j) {
-          const std::int64_t cc =
-              std::clamp<std::int64_t>(u0 - 1 + j, 0, w - 1);
-          out.at(rr, cc) +=
-              g * wr[i] * cubic_kernel(fu - static_cast<float>(j - 1));
+          line[ct.index[j]] += g * rt.weight[i] * ct.weight[j];
         }
       }
     }

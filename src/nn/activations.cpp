@@ -1,6 +1,8 @@
 #include "src/nn/activations.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "src/common/check.hpp"
@@ -23,6 +25,23 @@ void grow_slots(std::vector<Tensor>& slots, int count) {
   }
 }
 
+// out[i] = x[i] < 0 ? v[i] * alpha : v[i]: LeakyReLU forward (v = x) and
+// backward (v = dy). The product is formed for every element and picked by
+// a bit mask, so each output is exactly the bits of v[i] or of
+// v[i] * alpha, as with `if (x < 0) v *= alpha`, and the loop vectorises:
+// a plain ?: keeps its branch, because the product could trap, and
+// max(v, alpha * v) is a different function at alpha = 0, where it maps
+// -inf to -inf instead of to 0 * -inf = NaN.
+void leaky_select(const float* x, const float* v, float* out, std::int64_t n,
+                  float alpha) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t keep = x[i] < 0.f ? 0u : ~0u;
+    const auto kept = std::bit_cast<std::uint32_t>(v[i]);
+    const auto scaled = std::bit_cast<std::uint32_t>(v[i] * alpha);
+    out[i] = std::bit_cast<float>((kept & keep) | (scaled & ~keep));
+  }
+}
+
 }  // namespace
 
 LeakyReLU::LeakyReLU(float alpha) : alpha_(alpha) {
@@ -30,13 +49,12 @@ LeakyReLU::LeakyReLU(float alpha) : alpha_(alpha) {
 }
 
 Tensor LeakyReLU::forward(const Tensor& input, bool /*training*/) {
-  cache_slot(input_, "LeakyReLU: replica slot not prepared") = input;
-  Tensor out = input;
-  float* p = out.data();
-  const std::int64_t n = out.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (p[i] < 0.f) p[i] *= alpha_;
-  }
+  // Cached in inference mode too: gradient analysis backpropagates through
+  // a training=false forward.
+  Tensor& cached = cache_slot(input_, "LeakyReLU: replica slot not prepared");
+  cached = input;
+  Tensor out(input.shape());
+  leaky_select(cached.data(), cached.data(), out.data(), out.size(), alpha_);
   return out;
 }
 
@@ -46,13 +64,9 @@ Tensor LeakyReLU::backward(const Tensor& grad_output) {
   check(!cached.empty(), "LeakyReLU::backward called before forward");
   check(grad_output.shape() == cached.shape(),
         "LeakyReLU::backward grad shape mismatch");
-  Tensor grad = grad_output;
-  float* g = grad.data();
-  const float* x = cached.data();
-  const std::int64_t n = grad.size();
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (x[i] < 0.f) g[i] *= alpha_;
-  }
+  Tensor grad(grad_output.shape());
+  leaky_select(cached.data(), grad_output.data(), grad.data(), grad.size(),
+               alpha_);
   return grad;
 }
 

@@ -14,15 +14,17 @@ Sequential& Sequential::add(LayerPtr layer) {
 
 Tensor Sequential::forward(const Tensor& input, bool training) {
   check(!layers_.empty(), "Sequential::forward on empty container");
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, training);
+  Tensor x = layers_.front()->forward(input, training);
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    x = layers_[i]->forward(x, training);
+  }
   return x;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
   check(!layers_.empty(), "Sequential::backward on empty container");
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  Tensor g = layers_.back()->backward(grad_output);
+  for (auto it = layers_.rbegin() + 1; it != layers_.rend(); ++it) {
     g = (*it)->backward(g);
   }
   return g;

@@ -10,13 +10,15 @@
 namespace mtsr::quant {
 namespace {
 
-// Round-half-up quantisation core. For v < -0.5 the truncation below is
-// wrong by one, but every such value clamps to 0 anyway, so the result
+// Round-half-up quantisation core. The clamp to [0, 255] runs in float
+// before the conversion, so NaN (to 0), ±inf and values beyond int range
+// never reach the float-to-int cast. Truncation rounds v + 0.5 < 0 the
+// wrong way, but every such value clamps to 0 anyway, so the result
 // matches round-half-up for all representable outputs.
 inline std::uint8_t quantize_core(float x, float inv_scale, float zp) {
-  const float v = x * inv_scale + zp;
-  const int q = static_cast<int>(v + 0.5f);
-  return static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+  const float v = x * inv_scale + zp + 0.5f;
+  const float clamped = v > 0.f ? std::min(v, 255.f) : 0.f;
+  return static_cast<std::uint8_t>(clamped);
 }
 
 }  // namespace

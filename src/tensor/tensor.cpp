@@ -65,12 +65,15 @@ float Tensor::flat(std::int64_t i) const {
 std::size_t Tensor::offset(std::initializer_list<std::int64_t> idx) const {
   check(static_cast<int>(idx.size()) == rank(),
         "Tensor::at index count must equal rank");
+  // Row-major offset in Horner form over the dims, so element access
+  // allocates nothing.
+  const std::vector<std::int64_t>& dims = shape_.dims();
   std::size_t off = 0;
-  int axis = 0;
-  const auto strides = shape_.strides();
+  std::size_t axis = 0;
   for (std::int64_t i : idx) {
-    check(i >= 0 && i < shape_.dim(axis), "Tensor::at index out of range");
-    off += static_cast<std::size_t>(i * strides[static_cast<std::size_t>(axis)]);
+    check(i >= 0 && i < dims[axis], "Tensor::at index out of range");
+    off = off * static_cast<std::size_t>(dims[axis]) +
+          static_cast<std::size_t>(i);
     ++axis;
   }
   return off;

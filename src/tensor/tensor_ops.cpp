@@ -82,12 +82,11 @@ constexpr std::int64_t kMr = 16;
 // SIMD dispatch of the float panel microkernel: the hand-scheduled AVX-512
 // (8×32 register tile) and AVX2 (6×16) kernels below are selected once per
 // process by CPUID, capped by the MTSR_SIMD environment variable; the
-// portable generic kernel is the fallback everywhere else. The previous
-// compiler-scheduled target_clones kernel is kept reachable — only through
-// the forced-kernel seam, under the level name "clones" — so the benchmark
-// can measure old vs new in the same binary. target_clones is disabled
-// under sanitizers (ifunc resolution order) and on non-x86 targets, where
-// "clones" degrades to the generic kernel.
+// portable generic kernel is the fallback everywhere else.
+//
+// The small-k and NT kernels are compiler-vectorised per ISA through
+// target_clones instead. target_clones is disabled under sanitizers
+// (ifunc resolution order) and on non-x86 targets.
 #if defined(__x86_64__) && defined(__GNUC__) && \
     !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define MTSR_SIMD_CLONES \
@@ -96,24 +95,19 @@ constexpr std::int64_t kMr = 16;
 #define MTSR_SIMD_CLONES
 #endif
 
-#if defined(__GNUC__)
-#define MTSR_ALWAYS_INLINE __attribute__((always_inline)) inline
-#else
-#define MTSR_ALWAYS_INLINE inline
-#endif
-
 // C[i0:i1, j0:j1] += A[i0:i1, kk0:kk1] * panel, where `panel` holds B rows
 // kk0:kk1 for absolute columns [j0, j1) (row stride kNc). Portable
-// microkernel body: a 4×kMr C tile accumulated in registers against packed
+// microkernel: a 4×kMr C tile accumulated in registers against packed
 // A quads and panel rows streamed through L1. Per output element the
 // accumulation is the plain ascending-k sequence (the registers only hold
 // what memory held before), so results stay bit-identical across pool
-// sizes AND match the unblocked i-k-j order exactly. always_inline so the
-// target_clones wrapper below compiles one copy per ISA clone.
-MTSR_ALWAYS_INLINE void gemm_nn_panel_body(
-    const float* pa, std::int64_t lda, const float* panel, float* pc,
-    std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-    std::int64_t kk1, std::int64_t j0, std::int64_t j1) {
+// sizes AND match the unblocked i-k-j order exactly. Also the
+// "scalar"/"sse2" forced levels.
+void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
+                           const float* panel, float* pc, std::int64_t ldc,
+                           std::int64_t i0, std::int64_t i1, std::int64_t kk0,
+                           std::int64_t kk1, std::int64_t j0,
+                           std::int64_t j1) {
   alignas(64) float apack[4 * kKc];
   const std::int64_t width = j1 - j0;
   std::int64_t i = i0;
@@ -184,27 +178,6 @@ MTSR_ALWAYS_INLINE void gemm_nn_panel_body(
       for (std::int64_t j = 0; j < width; ++j) crow[j] += aik * brow[j];
     }
   }
-}
-
-// Portable fallback kernel — also the "scalar"/"sse2" forced levels.
-void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
-                           const float* panel, float* pc, std::int64_t ldc,
-                           std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-                           std::int64_t kk1, std::int64_t j0,
-                           std::int64_t j1) {
-  gemm_nn_panel_body(pa, lda, panel, pc, ldc, i0, i1, kk0, kk1, j0, j1);
-}
-
-// The pre-hand-scheduling kernel, compiler-vectorised per ISA by
-// target_clones: the benchmark baseline the speedup claims are measured
-// against (reachable only through matmul_into_forced_kernel("clones")).
-MTSR_SIMD_CLONES
-void gemm_nn_panel_clones(const float* pa, std::int64_t lda,
-                          const float* panel, float* pc, std::int64_t ldc,
-                          std::int64_t i0, std::int64_t i1, std::int64_t kk0,
-                          std::int64_t kk1, std::int64_t j0,
-                          std::int64_t j1) {
-  gemm_nn_panel_body(pa, lda, panel, pc, ldc, i0, i1, kk0, kk1, j0, j1);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -428,10 +401,6 @@ bool float_kernel_for_level(std::string_view level, FloatPanelKernel* out) {
     *out = {&gemm_nn_panel_generic, "generic"};
     return true;
   }
-  if (level == "clones") {
-    *out = {&gemm_nn_panel_clones, "clones"};
-    return true;
-  }
 #if defined(__x86_64__) && defined(__GNUC__)
   if ((level == "avx512" || level == "vnni") &&
       __builtin_cpu_supports("avx512f")) {
@@ -453,7 +422,6 @@ FloatPanelKernel resolve_float_kernel() {
   const char* env = std::getenv("MTSR_SIMD");
   const std::string_view want = env != nullptr ? env : "";
   if (want == "scalar" || want == "sse2") return {};
-  if (want == "clones") return {&gemm_nn_panel_clones, "clones"};
 #if defined(__x86_64__) && defined(__GNUC__)
   const bool allow_avx512 =
       want.empty() || want == "avx512" || want == "vnni";
@@ -1264,36 +1232,112 @@ Tensor col2im(const Tensor& columns, std::int64_t channels,
   return out;
 }
 
-void im2col_batched_into(const float* pi, std::int64_t n, std::int64_t c,
-                         std::int64_t h, std::int64_t w, int kh, int kw,
-                         int stride_h, int stride_w, int pad_h, int pad_w,
-                         float* po) {
+namespace {
+
+// One lowered output line: ow elements for a fixed (channel, ky, kx) tap and
+// input row. For the unit-stride case the in-range span is one contiguous
+// copy between two pad fills; the generic case checks per element.
+template <typename T>
+inline void lower_line(const T* irow, std::int64_t w, std::int64_t ow,
+                       int stride_w, int pad_w, int kx, T pad, T* oline) {
+  if (stride_w == 1) {
+    // ix = ox - pad_w + kx in [0, w) <=> ox in [head, head + span).
+    const std::int64_t head =
+        std::min(ow, std::max<std::int64_t>(0, pad_w - kx));
+    const std::int64_t span = std::max<std::int64_t>(
+        0, std::min(ow, w + pad_w - kx) - head);
+    std::fill(oline, oline + head, pad);
+    if (span > 0) std::copy_n(irow + head - pad_w + kx, span, oline + head);
+    std::fill(oline + head + span, oline + ow, pad);
+    return;
+  }
+  for (std::int64_t ox = 0; ox < ow; ++ox) {
+    const std::int64_t ix = ox * stride_w - pad_w + kx;
+    oline[ox] = (ix >= 0 && ix < w) ? irow[ix] : pad;
+  }
+}
+
+// Batched im2col over float or byte images; out-of-bounds taps read as
+// `pad`. Each output row is contiguous over all samples; rows are
+// independent.
+template <typename T>
+void im2col_lower(const T* pi, std::int64_t n, std::int64_t c, std::int64_t h,
+                  std::int64_t w, int kh, int kw, int stride_h, int stride_w,
+                  int pad_h, int pad_w, T pad, T* po) {
   const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
   const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  // Each output row is contiguous over all samples; rows are independent.
   parallel_for(c * kh * kw, [&](std::int64_t row) {
     const std::int64_t ch = row / (kh * kw);
     const std::int64_t rem = row % (kh * kw);
     const int ky = static_cast<int>(rem / kw);
     const int kx = static_cast<int>(rem % kw);
-    float* orow = po + row * n * oh * ow;
+    T* orow = po + row * n * oh * ow;
     for (std::int64_t i = 0; i < n; ++i) {
-      const float* img = pi + (i * c + ch) * h * w;
-      float* oseg = orow + i * oh * ow;
+      const T* img = pi + (i * c + ch) * h * w;
+      T* oseg = orow + i * oh * ow;
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         const std::int64_t iy = oy * stride_h - pad_h + ky;
         if (iy < 0 || iy >= h) {
-          std::fill(oseg + oy * ow, oseg + (oy + 1) * ow, 0.f);
+          std::fill(oseg + oy * ow, oseg + (oy + 1) * ow, pad);
           continue;
         }
-        const float* irow = img + iy * w;
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          const std::int64_t ix = ox * stride_w - pad_w + kx;
-          oseg[oy * ow + ox] = (ix >= 0 && ix < w) ? irow[ix] : 0.f;
+        lower_line(img + iy * w, w, ow, stride_w, pad_w, kx, pad,
+                   oseg + oy * ow);
+      }
+    }
+  });
+}
+
+// Batched vol2col over float or byte volumes (see im2col_lower).
+template <typename T>
+void vol2col_lower(const T* pi, std::int64_t n, std::int64_t c,
+                   std::int64_t d, std::int64_t h, std::int64_t w, int kd,
+                   int kh, int kw, int stride_d, int stride_h, int stride_w,
+                   int pad_d, int pad_h, int pad_w, T pad, T* po) {
+  const std::int64_t od = (d + 2 * pad_d - kd) / stride_d + 1;
+  const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
+  const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
+  const std::int64_t taps = static_cast<std::int64_t>(kd) * kh * kw;
+  parallel_for(c * taps, [&](std::int64_t row) {
+    const std::int64_t ch = row / taps;
+    std::int64_t rem = row % taps;
+    const int kz = static_cast<int>(rem / (kh * kw));
+    rem %= kh * kw;
+    const int ky = static_cast<int>(rem / kw);
+    const int kx = static_cast<int>(rem % kw);
+    T* orow = po + row * n * od * oh * ow;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const T* vol = pi + (i * c + ch) * d * h * w;
+      T* oseg = orow + i * od * oh * ow;
+      for (std::int64_t oz = 0; oz < od; ++oz) {
+        const std::int64_t iz = oz * stride_d - pad_d + kz;
+        if (iz < 0 || iz >= d) {
+          std::fill(oseg + oz * oh * ow, oseg + (oz + 1) * oh * ow, pad);
+          continue;
+        }
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * stride_h - pad_h + ky;
+          T* oline = oseg + (oz * oh + oy) * ow;
+          if (iy < 0 || iy >= h) {
+            std::fill(oline, oline + ow, pad);
+            continue;
+          }
+          lower_line(vol + (iz * h + iy) * w, w, ow, stride_w, pad_w, kx,
+                     pad, oline);
         }
       }
     }
   });
+}
+
+}  // namespace
+
+void im2col_batched_into(const float* pi, std::int64_t n, std::int64_t c,
+                         std::int64_t h, std::int64_t w, int kh, int kw,
+                         int stride_h, int stride_w, int pad_h, int pad_w,
+                         float* po) {
+  im2col_lower(pi, n, c, h, w, kh, kw, stride_h, stride_w, pad_h, pad_w, 0.f,
+               po);
 }
 
 Tensor im2col_batched(const Tensor& input, int kh, int kw, int stride_h,
@@ -1370,43 +1414,8 @@ void vol2col_batched_into(const float* pi, std::int64_t n, std::int64_t c,
                           int kd, int kh, int kw, int stride_d, int stride_h,
                           int stride_w, int pad_d, int pad_h, int pad_w,
                           float* po) {
-  const std::int64_t od = (d + 2 * pad_d - kd) / stride_d + 1;
-  const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
-  const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  const std::int64_t taps = static_cast<std::int64_t>(kd) * kh * kw;
-  parallel_for(c * taps, [&](std::int64_t row) {
-    const std::int64_t ch = row / taps;
-    std::int64_t rem = row % taps;
-    const int kz = static_cast<int>(rem / (kh * kw));
-    rem %= kh * kw;
-    const int ky = static_cast<int>(rem / kw);
-    const int kx = static_cast<int>(rem % kw);
-    float* orow = po + row * n * od * oh * ow;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* vol = pi + (i * c + ch) * d * h * w;
-      float* oseg = orow + i * od * oh * ow;
-      for (std::int64_t oz = 0; oz < od; ++oz) {
-        const std::int64_t iz = oz * stride_d - pad_d + kz;
-        if (iz < 0 || iz >= d) {
-          std::fill(oseg + oz * oh * ow, oseg + (oz + 1) * oh * ow, 0.f);
-          continue;
-        }
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * stride_h - pad_h + ky;
-          float* oline = oseg + (oz * oh + oy) * ow;
-          if (iy < 0 || iy >= h) {
-            std::fill(oline, oline + ow, 0.f);
-            continue;
-          }
-          const float* irow = vol + (iz * h + iy) * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * stride_w - pad_w + kx;
-            oline[ox] = (ix >= 0 && ix < w) ? irow[ix] : 0.f;
-          }
-        }
-      }
-    }
-  });
+  vol2col_lower(pi, n, c, d, h, w, kd, kh, kw, stride_d, stride_h, stride_w,
+                pad_d, pad_h, pad_w, 0.f, po);
 }
 
 Tensor vol2col_batched(const Tensor& input, int kd, int kh, int kw,
@@ -1496,67 +1505,13 @@ Tensor col2vol_batched(const Tensor& columns, std::int64_t n,
   return out;
 }
 
-namespace {
-
-// One lowered output line: ow bytes for a fixed (channel, ky, kx) tap and
-// input row. For the unit-stride case the in-range span is one contiguous
-// memcpy between two pad fills; the generic case checks per element.
-inline void lower_u8_line(const std::uint8_t* irow, std::int64_t w,
-                          std::int64_t ow, int stride_w, int pad_w, int kx,
-                          std::uint8_t pad, std::uint8_t* oline) {
-  if (stride_w == 1) {
-    // ix = ox - pad_w + kx in [0, w) <=> ox in [head, head + span).
-    const std::int64_t head =
-        std::min(ow, std::max<std::int64_t>(0, pad_w - kx));
-    const std::int64_t span =
-        std::min(ow, w + pad_w - kx) - head;
-    if (head > 0) std::memset(oline, pad, static_cast<std::size_t>(head));
-    if (span > 0) {
-      std::memcpy(oline + head, irow + head - pad_w + kx,
-                  static_cast<std::size_t>(span));
-    }
-    const std::int64_t tail = ow - head - std::max<std::int64_t>(span, 0);
-    if (tail > 0) {
-      std::memset(oline + ow - tail, pad, static_cast<std::size_t>(tail));
-    }
-    return;
-  }
-  for (std::int64_t ox = 0; ox < ow; ++ox) {
-    const std::int64_t ix = ox * stride_w - pad_w + kx;
-    oline[ox] = (ix >= 0 && ix < w) ? irow[ix] : pad;
-  }
-}
-
-}  // namespace
-
 void im2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
                             std::int64_t c, std::int64_t h, std::int64_t w,
                             int kh, int kw, int stride_h, int stride_w,
                             int pad_h, int pad_w, std::uint8_t pad,
                             std::uint8_t* po) {
-  const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
-  const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  // Same row-parallel structure as the float lowering, 4x less bandwidth.
-  parallel_for(c * kh * kw, [&](std::int64_t row) {
-    const std::int64_t ch = row / (kh * kw);
-    const std::int64_t rem = row % (kh * kw);
-    const int ky = static_cast<int>(rem / kw);
-    const int kx = static_cast<int>(rem % kw);
-    std::uint8_t* orow = po + row * n * oh * ow;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint8_t* img = pi + (i * c + ch) * h * w;
-      std::uint8_t* oseg = orow + i * oh * ow;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        const std::int64_t iy = oy * stride_h - pad_h + ky;
-        if (iy < 0 || iy >= h) {
-          std::memset(oseg + oy * ow, pad, static_cast<std::size_t>(ow));
-          continue;
-        }
-        lower_u8_line(img + iy * w, w, ow, stride_w, pad_w, kx, pad,
-                      oseg + oy * ow);
-      }
-    }
-  });
+  im2col_lower(pi, n, c, h, w, kh, kw, stride_h, stride_w, pad_h, pad_w, pad,
+               po);
 }
 
 void vol2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
@@ -1565,41 +1520,8 @@ void vol2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
                              int stride_d, int stride_h, int stride_w,
                              int pad_d, int pad_h, int pad_w, std::uint8_t pad,
                              std::uint8_t* po) {
-  const std::int64_t od = (d + 2 * pad_d - kd) / stride_d + 1;
-  const std::int64_t oh = (h + 2 * pad_h - kh) / stride_h + 1;
-  const std::int64_t ow = (w + 2 * pad_w - kw) / stride_w + 1;
-  const std::int64_t taps = static_cast<std::int64_t>(kd) * kh * kw;
-  parallel_for(c * taps, [&](std::int64_t row) {
-    const std::int64_t ch = row / taps;
-    std::int64_t rem = row % taps;
-    const int kz = static_cast<int>(rem / (kh * kw));
-    rem %= kh * kw;
-    const int ky = static_cast<int>(rem / kw);
-    const int kx = static_cast<int>(rem % kw);
-    std::uint8_t* orow = po + row * n * od * oh * ow;
-    for (std::int64_t i = 0; i < n; ++i) {
-      const std::uint8_t* vol = pi + (i * c + ch) * d * h * w;
-      std::uint8_t* oseg = orow + i * od * oh * ow;
-      for (std::int64_t oz = 0; oz < od; ++oz) {
-        const std::int64_t iz = oz * stride_d - pad_d + kz;
-        if (iz < 0 || iz >= d) {
-          std::memset(oseg + oz * oh * ow, pad,
-                      static_cast<std::size_t>(oh * ow));
-          continue;
-        }
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * stride_h - pad_h + ky;
-          std::uint8_t* oline = oseg + (oz * oh + oy) * ow;
-          if (iy < 0 || iy >= h) {
-            std::memset(oline, pad, static_cast<std::size_t>(ow));
-            continue;
-          }
-          lower_u8_line(vol + (iz * h + iy) * w, w, ow, stride_w, pad_w, kx,
-                        pad, oline);
-        }
-      }
-    }
-  });
+  vol2col_lower(pi, n, c, d, h, w, kd, kh, kw, stride_d, stride_h, stride_w,
+                pad_d, pad_h, pad_w, pad, po);
 }
 
 namespace {

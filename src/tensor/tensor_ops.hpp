@@ -73,11 +73,10 @@ void transpose_into(const float* a, std::int64_t m, std::int64_t n,
 
 /// Testing/benchmark seam: runs matmul_into with the microkernel of an
 /// explicit dispatch level — "scalar"/"sse2"/"generic" (portable kernel),
-/// "avx2", "avx512", "vnni" (same float kernel as "avx512"), or "clones"
-/// (the pre-hand-scheduling target_clones kernel, kept for interleaved
-/// old-vs-new benchmarking) — regardless of MTSR_SIMD. Returns false
-/// without touching `c` when this host cannot execute the requested level.
-/// The production dispatch, resolved once per process, is unaffected.
+/// "avx2", or "avx512"/"vnni" (the same float kernel) — regardless of
+/// MTSR_SIMD. Returns false without touching `c` when this host cannot
+/// execute the requested level. The production dispatch, resolved once per
+/// process, is unaffected.
 [[nodiscard]] bool matmul_into_forced_kernel(const char* level,
                                              const float* a, const float* b,
                                              float* c, std::int64_t m,

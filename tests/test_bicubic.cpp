@@ -2,7 +2,9 @@
 // smoothness, and the SuperResolver plumbing (incl. the Uniform baseline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/baselines/bicubic.hpp"
 #include "src/baselines/super_resolver.hpp"
@@ -67,6 +69,99 @@ TEST(Bicubic, AdjointInnerProductIdentity) {
     rhs += static_cast<double>(x.flat(i)) * bty.flat(i);
   }
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// Plain references: per-tap clamped at() reads and scatters, in the same
+// arithmetic order as the library (rows outer, columns inner).
+float reference_kernel(float x) {
+  x = std::abs(x);
+  if (x <= 1.f) return 1.5f * x * x * x - 2.5f * x * x + 1.f;
+  if (x < 2.f) return -0.5f * x * x * x + 2.5f * x * x - 4.f * x + 2.f;
+  return 0.f;
+}
+
+struct ReferenceTaps {
+  std::int64_t base;
+  float weight[4];
+};
+
+ReferenceTaps reference_taps(std::int64_t o, int factor) {
+  const float inv = 1.f / static_cast<float>(factor);
+  const float u = (static_cast<float>(o) + 0.5f) * inv - 0.5f;
+  ReferenceTaps t{static_cast<std::int64_t>(std::floor(u)), {}};
+  const float fu = u - static_cast<float>(t.base);
+  for (int i = 0; i < 4; ++i) {
+    t.weight[i] = reference_kernel(fu - static_cast<float>(i - 1));
+  }
+  return t;
+}
+
+Tensor reference_upsample(const Tensor& coarse, int factor) {
+  const std::int64_t h = coarse.dim(0), w = coarse.dim(1);
+  Tensor out(Shape{h * factor, w * factor});
+  for (std::int64_t r = 0; r < h * factor; ++r) {
+    const ReferenceTaps rt = reference_taps(r, factor);
+    for (std::int64_t c = 0; c < w * factor; ++c) {
+      const ReferenceTaps ct = reference_taps(c, factor);
+      float acc = 0.f;
+      for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) {
+          acc += rt.weight[i] * ct.weight[j] *
+                 coarse.at(std::clamp<std::int64_t>(rt.base - 1 + i, 0, h - 1),
+                           std::clamp<std::int64_t>(ct.base - 1 + j, 0, w - 1));
+        }
+      }
+      out.at(r, c) = acc;
+    }
+  }
+  return out;
+}
+
+Tensor reference_adjoint(const Tensor& grad_fine, int factor) {
+  const std::int64_t h = grad_fine.dim(0) / factor;
+  const std::int64_t w = grad_fine.dim(1) / factor;
+  Tensor out(Shape{h, w});
+  for (std::int64_t r = 0; r < h * factor; ++r) {
+    const ReferenceTaps rt = reference_taps(r, factor);
+    for (std::int64_t c = 0; c < w * factor; ++c) {
+      const ReferenceTaps ct = reference_taps(c, factor);
+      const float g = grad_fine.at(r, c);
+      if (g == 0.f) continue;
+      for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) {
+          out.at(std::clamp<std::int64_t>(rt.base - 1 + i, 0, h - 1),
+                 std::clamp<std::int64_t>(ct.base - 1 + j, 0, w - 1)) +=
+              g * rt.weight[i] * ct.weight[j];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+TEST(Bicubic, BitExactAgainstPerTapReference) {
+  Rng rng(74);
+  const Shape grids[] = {Shape{1, 1}, Shape{2, 3}, Shape{7, 5}, Shape{4, 9}};
+  for (const Shape& grid : grids) {
+    for (const int factor : {1, 2, 4, 5}) {
+      const Tensor coarse = Tensor::randn(grid, rng);
+      EXPECT_TRUE(same_bits(bicubic_upsample(coarse, factor),
+                            reference_upsample(coarse, factor)))
+          << grid.to_string() << " x" << factor;
+      Tensor grad = Tensor::randn(
+          Shape{grid.dim(0) * factor, grid.dim(1) * factor}, rng);
+      for (std::int64_t i = 0; i < grad.size(); i += 3) grad.flat(i) = 0.f;
+      EXPECT_TRUE(same_bits(bicubic_upsample_adjoint(grad, factor),
+                            reference_adjoint(grad, factor)))
+          << grid.to_string() << " x" << factor << " adjoint";
+    }
+  }
 }
 
 TEST(Bicubic, SmootherThanUniformOnSmoothFields) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/rng.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
@@ -193,6 +197,55 @@ TEST(LeakyReLU, MatchesEquation3) {
   EXPECT_FLOAT_EQ(out.flat(1), -0.05f);
   EXPECT_FLOAT_EQ(out.flat(2), 0.5f);
   EXPECT_FLOAT_EQ(out.flat(3), 2.f);
+}
+
+// Plain reference: the definition `if (x < 0) x *= alpha`, per element.
+std::vector<float> leaky_reference(const std::vector<float>& x,
+                                   const std::vector<float>& v, float alpha) {
+  std::vector<float> out = v;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (x[i] < 0.f) out[i] *= alpha;
+  }
+  return out;
+}
+
+TEST(LeakyReLU, BitExactOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> special = {
+      -0.f, 0.f,   nan,        -nan,       inf,  -inf,  sub,
+      -sub, 3 * sub, -3 * sub, 1e30f,      -1e30f, -1e-39f, 1.f};
+  Rng rng(77);
+  for (const float alpha : {0.f, 0.1f}) {
+    // Leading random values move the special ones through every SIMD lane
+    // and into the scalar tail.
+    for (int lead = 0; lead < 9; ++lead) {
+      std::vector<float> x, dy;
+      for (int i = 0; i < lead; ++i) {
+        x.push_back(static_cast<float>(rng.normal(0.0, 1.0)));
+        dy.push_back(static_cast<float>(rng.normal(0.0, 1.0)));
+      }
+      for (std::size_t i = 0; i < special.size(); ++i) {
+        for (std::size_t j = 0; j < special.size(); ++j) {
+          x.push_back(special[i]);
+          dy.push_back(special[j]);
+        }
+      }
+      const auto n = static_cast<std::int64_t>(x.size());
+      LeakyReLU lrelu(alpha);
+      const Tensor y = lrelu.forward(Tensor(Shape{n}, x), false);
+      const std::vector<float> want_y = leaky_reference(x, x, alpha);
+      ASSERT_EQ(std::memcmp(y.data(), want_y.data(), x.size() * sizeof(float)),
+                0)
+          << "forward alpha=" << alpha << " lead=" << lead;
+      const Tensor dx = lrelu.backward(Tensor(Shape{n}, dy));
+      const std::vector<float> want_dx = leaky_reference(x, dy, alpha);
+      ASSERT_EQ(
+          std::memcmp(dx.data(), want_dx.data(), x.size() * sizeof(float)), 0)
+          << "backward alpha=" << alpha << " lead=" << lead;
+    }
+  }
 }
 
 TEST(Sigmoid, OutputInOpenUnitInterval) {

@@ -6,9 +6,12 @@
 // int8 sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/srcnn.hpp"
@@ -78,6 +81,67 @@ TEST(Quant, DegenerateRangesAreSafe) {
   const quant::ActQuant neg = quant::choose_act_quant(-6.f, -2.f);
   EXPECT_EQ(quant::dequantize_value(quant::quantize_value(0.f, neg), neg),
             0.f);
+}
+
+// The quantisation formula with the float-to-int conversion ahead of the
+// clamp; defined only while v + 0.5 fits an int.
+std::uint8_t convert_then_clamp(float x, const quant::ActQuant& aq) {
+  const float v = x * (1.f / aq.scale) + static_cast<float>(aq.zero_point);
+  return static_cast<std::uint8_t>(
+      std::clamp(static_cast<int>(v + 0.5f), 0, 255));
+}
+
+TEST(Quant, NonFiniteAndHugeInputsSaturate) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> x = {nan,    -nan,   inf,  -inf,
+                                1e30f,  -1e30f, 3e9f, -3e9f};
+  const std::vector<std::uint8_t> want = {0, 0, 255, 0, 255, 0, 255, 0};
+  const quant::ActQuant aq = quant::choose_act_quant(-3.f, 5.f);
+  std::vector<std::uint8_t> batch(x.size());
+  quant::quantize_u8(x.data(), static_cast<std::int64_t>(x.size()), aq,
+                     batch.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(quant::quantize_value(x[i], aq), want[i]) << "x=" << x[i];
+    EXPECT_EQ(batch[i], want[i]) << "x=" << x[i];
+  }
+}
+
+TEST(Quant, ClampBeforeConvertMatchesConvertThenClamp) {
+  Rng rng(12);
+  for (const auto& [lo, hi] : {std::pair{-3.f, 5.f}, std::pair{0.f, 1.f},
+                               std::pair{-1000.f, 10.f}}) {
+    const quant::ActQuant aq = quant::choose_act_quant(lo, hi);
+    const float zp = static_cast<float>(aq.zero_point);
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> x;
+    // A dense grid over v in [-300, 560], ...
+    for (int i = -300000; i <= 560000; ++i) {
+      x.push_back((static_cast<float>(i) * 1e-3f - zp) * aq.scale);
+    }
+    // ... every rounding boundary v + 0.5 = q and its float neighbours, ...
+    for (int q = -3; q <= 259; ++q) {
+      const float edge = (static_cast<float>(q) - 0.5f - zp) * aq.scale;
+      x.push_back(edge);
+      x.push_back(std::nextafter(edge, -inf));
+      x.push_back(std::nextafter(edge, inf));
+    }
+    // ... and random bit patterns whose v stays inside int range.
+    while (x.size() < 1'000'000) {
+      const auto bits = static_cast<std::uint32_t>(rng.next_u64());
+      float f;
+      std::memcpy(&f, &bits, sizeof f);
+      if (std::isfinite(f) && std::fabs(f / aq.scale) < 1e9f) x.push_back(f);
+    }
+    std::vector<std::uint8_t> batch(x.size());
+    quant::quantize_u8(x.data(), static_cast<std::int64_t>(x.size()), aq,
+                       batch.data());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const std::uint8_t want = convert_then_clamp(x[i], aq);
+      ASSERT_EQ(quant::quantize_value(x[i], aq), want) << "x=" << x[i];
+      ASSERT_EQ(batch[i], want) << "x=" << x[i];
+    }
+  }
 }
 
 TEST(Quant, WeightRoundTripPerChannel) {

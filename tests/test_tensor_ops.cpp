@@ -2,6 +2,12 @@
 // im2col/col2im adjointness, padding/cropping, pooling and upsampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <vector>
+
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 #include "src/tensor/tensor_ops.hpp"
@@ -105,6 +111,104 @@ TEST(Im2colCol2im, AdjointInnerProductProperty) {
     rhs += static_cast<double>(x.flat(i)) * back.flat(i);
   }
   EXPECT_NEAR(lhs, rhs, 1e-3);
+}
+
+// Geometry of a batched (n, c, d, h, w) lowering; 2-D im2col is the
+// d = kd = 1 case.
+struct LowerGeometry {
+  std::int64_t n, c, d, h, w;
+  int k, kd, stride, pad, pad_d;
+  [[nodiscard]] std::int64_t out(std::int64_t len, int kernel, int p) const {
+    return (len + 2 * p - kernel) / stride + 1;
+  }
+};
+
+// Plain per-element reference: row ((ch*kd + kz)*k + ky)*k + kx, column
+// ((i*od + oz)*oh + oy)*ow + ox, out-of-range taps read `pad`.
+template <typename T>
+std::vector<T> reference_lowering(const std::vector<T>& x,
+                                  const LowerGeometry& g, T pad) {
+  const std::int64_t od = g.out(g.d, g.kd, g.pad_d);
+  const std::int64_t oh = g.out(g.h, g.k, g.pad), ow = g.out(g.w, g.k, g.pad);
+  const std::int64_t rows = g.c * g.kd * g.k * g.k, cols = g.n * od * oh * ow;
+  std::vector<T> out(static_cast<std::size_t>(rows * cols));
+  for (std::int64_t row = 0; row < rows; ++row) {
+    const std::int64_t kx = row % g.k, ky = row / g.k % g.k;
+    const std::int64_t kz = row / (g.k * g.k) % g.kd;
+    const std::int64_t ch = row / (g.k * g.k * g.kd);
+    for (std::int64_t col = 0; col < cols; ++col) {
+      const std::int64_t ox = col % ow, oy = col / ow % oh;
+      const std::int64_t oz = col / (ow * oh) % od, i = col / (ow * oh * od);
+      const std::int64_t iz = oz * g.stride - g.pad_d + kz;
+      const std::int64_t iy = oy * g.stride - g.pad + ky;
+      const std::int64_t ix = ox * g.stride - g.pad + kx;
+      const bool inside = iz >= 0 && iz < g.d && iy >= 0 && iy < g.h &&
+                          ix >= 0 && ix < g.w;
+      out[static_cast<std::size_t>(row * cols + col)] =
+          inside ? x[static_cast<std::size_t>(
+                       (((i * g.c + ch) * g.d + iz) * g.h + iy) * g.w + ix)]
+                 : pad;
+    }
+  }
+  return out;
+}
+
+// Runs vol2col (`volume`) or im2col (d = kd = 1) for `g` into a
+// sentinel-filled buffer and compares every byte with the reference.
+template <typename T>
+void expect_lowering_matches(const LowerGeometry& g, bool volume, T pad,
+                             T sentinel, Rng& rng) {
+  std::vector<T> x(static_cast<std::size_t>(g.n * g.c * g.d * g.h * g.w));
+  for (T& v : x) v = static_cast<T>(rng.uniform(1.0, 200.0));
+  const std::vector<T> want = reference_lowering(x, g, pad);
+  std::vector<T> got(want.size(), sentinel);
+  const int s = g.stride, p = g.pad, k = g.k;
+  if constexpr (std::is_same_v<T, float>) {
+    if (volume) {
+      vol2col_batched_into(x.data(), g.n, g.c, g.d, g.h, g.w, g.kd, k, k, s,
+                           s, s, g.pad_d, p, p, got.data());
+    } else {
+      im2col_batched_into(x.data(), g.n, g.c, g.h, g.w, k, k, s, s, p, p,
+                          got.data());
+    }
+  } else {
+    if (volume) {
+      vol2col_batched_u8_into(x.data(), g.n, g.c, g.d, g.h, g.w, g.kd, k, k,
+                              s, s, s, g.pad_d, p, p, pad, got.data());
+    } else {
+      im2col_batched_u8_into(x.data(), g.n, g.c, g.h, g.w, k, k, s, s, p, p,
+                             pad, got.data());
+    }
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(T)), 0)
+      << (volume ? "vol2col" : "im2col") << " elem=" << sizeof(T)
+      << " d=" << g.d << " h=" << g.h << " w=" << g.w << " k=" << k
+      << " stride=" << s << " pad=" << p;
+}
+
+TEST(Lowering, BatchedIm2colAndVol2colMatchPerElementReference) {
+  Rng rng(5);
+  // (d, h, w): a plain volume, and inputs narrower than the kernel, whose
+  // lines are partly or wholly padding.
+  const std::int64_t extents[][3] = {{3, 5, 6}, {2, 1, 2}, {1, 3, 1}};
+  for (const int stride : {1, 2}) {
+    for (const int pad : {0, 1, 2}) {
+      for (const int k : {1, 3, 4}) {
+        for (const auto& e : extents) {
+          LowerGeometry g{2, 2, 1, e[1], e[2], k, 1, stride, pad, 0};
+          if (g.h + 2 * pad < k || g.w + 2 * pad < k) continue;
+          expect_lowering_matches<float>(g, false, 0.f, -7.f, rng);
+          expect_lowering_matches<std::uint8_t>(g, false, 9, 0, rng);
+          g.d = e[0];
+          g.kd = std::min<int>(k, 3);
+          g.pad_d = std::min(pad, 1);
+          if (g.d + 2 * g.pad_d < g.kd) continue;
+          expect_lowering_matches<float>(g, true, 0.f, -7.f, rng);
+          expect_lowering_matches<std::uint8_t>(g, true, 9, 0, rng);
+        }
+      }
+    }
+  }
 }
 
 TEST(Pad2d, PlacesContentCentrally) {
