@@ -1,4 +1,6 @@
-// 2-D convolution layer (im2col + GEMM implementation).
+// 2-D convolution layer. Stride-1 convolutions whose lowered product runs
+// the panel kernel are computed directly from one zero-padded copy of the
+// input (conv_stride1_into); the others lower with im2col and run one GEMM.
 //
 // Used by the discriminator's VGG blocks, the zipper convolutional blocks
 // (the paper's 24-layer core operates on 2-D feature maps once temporal
@@ -17,9 +19,11 @@ namespace mtsr::nn {
 /// Weight layout (out_channels, in_channels, kh, kw); optional bias per
 /// output channel. Output spatial size: (H + 2p - k)/s + 1.
 ///
-/// Workspace lifetimes: forward retains the whole-batch im2col matrix in
-/// the thread's arena; backward consumes it and rewinds. Inference loops
-/// that never call backward must run inside a Workspace::Scope.
+/// Workspace lifetimes: forward retains the zero-padded input (direct
+/// convolution) or the whole-batch im2col matrix (strided and small-k
+/// convolutions) in the thread's arena; backward lowers or consumes it and
+/// rewinds. Inference loops that never call backward must run inside a
+/// Workspace::Scope.
 class Conv2d final : public Layer {
  public:
   /// Constructs with He-normal weights and zero bias.
@@ -57,10 +61,13 @@ class Conv2d final : public Layer {
   Parameter bias_;
 
   // Forward caches, one slot per replica slice (slot 0 in direct mode):
-  // each concurrent slice retains its own arena-resident lowering matrix.
+  // each concurrent slice retains its own arena-resident forward state.
   struct Cache {
     Shape input_shape;
-    WsMatrix cols;  // arena-resident im2col matrix (C·k·k, N·oh·ow)
+    // The padded input (N·C planes of (H+2p)×(W+2p)) when `padded`, else
+    // the im2col matrix (C·k·k, N·oh·ow).
+    WsMatrix kept;
+    bool padded = false;
   };
   std::vector<Cache> cache_{1};
   Cache& cache_slot();

@@ -49,23 +49,39 @@ Tensor Conv3d::forward(const Tensor& input, bool /*training*/) {
 
   Cache& c = cache_slot();
   c.input_shape = input.shape();
-  // Whole-batch lowering into the arena: one (C·kd·kh·kw, N·od·oh·ow)
-  // matrix, one GEMM. Retained until backward rewinds it.
   Workspace& ws = Workspace::tls();
   const std::int64_t taps =
       in_channels_ * kernel_[0] * kernel_[1] * kernel_[2];
-  c.cols = ws_matrix(ws, taps, n * od * oh * ow);
+  const std::int64_t positions = n * od * oh * ow;
+  Tensor output(Shape{n, out_channels_, od, oh, ow});
+  c.padded = stride_ == std::array<int, 3>{1, 1, 1} &&
+             conv_stride1_direct(out_channels_, taps, positions);
+  if (c.padded) {
+    // Direct convolution from one zero-padded copy of the input, which is
+    // retained in the arena until backward lowers it and rewinds.
+    const std::int64_t dp = d + 2 * padding_[0], hp = h + 2 * padding_[1],
+                       wp = w + 2 * padding_[2];
+    c.kept = ws_matrix(ws, n * in_channels_, dp * hp * wp);
+    pad_volume_into(input.data(), n * in_channels_, d, h, w, padding_[0],
+                    padding_[1], padding_[2], c.kept.data);
+    conv_stride1_into(c.kept.data, n, in_channels_, dp, hp, wp, kernel_[0],
+                      kernel_[1], kernel_[2], weight_.value.data(),
+                      out_channels_, has_bias_ ? bias_.value.data() : nullptr,
+                      output.data());
+    return output;
+  }
+  // Whole-batch lowering into the arena: one (C·kd·kh·kw, N·od·oh·ow)
+  // matrix, one GEMM. Retained until backward rewinds it.
+  c.kept = ws_matrix(ws, taps, positions);
   vol2col_batched_into(input.data(), n, in_channels_, d, h, w, kernel_[0],
                        kernel_[1], kernel_[2], stride_[0], stride_[1],
                        stride_[2], padding_[0], padding_[1], padding_[2],
-                       c.cols.data);
-
-  Tensor output(Shape{n, out_channels_, od, oh, ow});
+                       c.kept.data);
   {
     Workspace::Scope scratch(ws);
-    float* y = ws.alloc(out_channels_ * c.cols.cols);  // (O, N*od*oh*ow)
-    matmul_into(weight_.value.data(), c.cols.data, y, out_channels_, taps,
-                c.cols.cols);
+    float* y = ws.alloc(out_channels_ * positions);  // (O, N*od*oh*ow)
+    matmul_into(weight_.value.data(), c.kept.data, y, out_channels_, taps,
+                positions);
     channel_major_to_batch_into(y, n, out_channels_, od * oh * ow,
                                 output.data());
   }
@@ -76,39 +92,53 @@ Tensor Conv3d::forward(const Tensor& input, bool /*training*/) {
 Tensor Conv3d::backward(const Tensor& grad_output) {
   Workspace& ws = Workspace::tls();
   Cache& c = cache_slot();
-  check(!c.cols.empty() && ws.alive(c.cols.end),
+  check(!c.kept.empty() && ws.alive(c.kept.end),
         "Conv3d::backward called before forward (or forward's workspace "
         "scope was rewound)");
   check(grad_output.rank() == 5 && grad_output.dim(1) == out_channels_,
         "Conv3d::backward grad shape mismatch");
   const std::int64_t n = c.input_shape.dim(0), d = c.input_shape.dim(2),
                      h = c.input_shape.dim(3), w = c.input_shape.dim(4);
+  check(grad_output.dim(0) == n && grad_output.dim(2) == out_extent(0, d) &&
+            grad_output.dim(3) == out_extent(1, h) &&
+            grad_output.dim(4) == out_extent(2, w),
+        "Conv3d::backward grad geometry does not match forward");
   const std::int64_t inner =
       grad_output.dim(2) * grad_output.dim(3) * grad_output.dim(4);
-  check(grad_output.dim(0) == n && n * inner == c.cols.cols,
-        "Conv3d::backward grad geometry does not match forward");
+  const std::int64_t rows =
+      in_channels_ * kernel_[0] * kernel_[1] * kernel_[2];
+  const std::int64_t cols = n * inner;
   Tensor grad_input(c.input_shape);
   {
     Workspace::Scope scratch(ws);
-    float* dy = ws.alloc(out_channels_ * c.cols.cols);  // (O, N*od*oh*ow)
+    const float* lowered = c.kept.data;
+    if (c.padded) {
+      // Lowering the padded input at pad 0 gives the forward's matrix.
+      float* m = ws.alloc(rows * cols);
+      vol2col_batched_into(c.kept.data, n, in_channels_, d + 2 * padding_[0],
+                           h + 2 * padding_[1], w + 2 * padding_[2],
+                           kernel_[0], kernel_[1], kernel_[2], 1, 1, 1, 0, 0,
+                           0, m);
+      lowered = m;
+    }
+    float* dy = ws.alloc(out_channels_ * cols);  // (O, N*od*oh*ow)
     batch_to_channel_major_into(grad_output.data(), n, out_channels_, inner,
                                 dy);
 
-    matmul_nt_into(dy, c.cols.data, weight_.active_grad().data(),
-                   out_channels_, c.cols.cols, c.cols.rows,
-                   /*accumulate=*/true);
+    matmul_nt_into(dy, lowered, weight_.active_grad().data(), out_channels_,
+                   cols, rows, /*accumulate=*/true);
     if (has_bias_) accumulate_channel_sums(grad_output, bias_.active_grad());
 
-    float* dcols = ws.alloc(c.cols.rows * c.cols.cols);
-    matmul_tn_into(weight_.value.data(), dy, dcols, out_channels_,
-                   c.cols.rows, c.cols.cols);
+    float* dcols = ws.alloc(rows * cols);
+    matmul_tn_into(weight_.value.data(), dy, dcols, out_channels_, rows,
+                   cols);
     col2vol_batched_into(dcols, n, in_channels_, d, h, w, kernel_[0],
                          kernel_[1], kernel_[2], stride_[0], stride_[1],
                          stride_[2], padding_[0], padding_[1], padding_[2],
                          grad_input.data());
   }
-  ws.rewind(c.cols.mark);  // lowering matrix dead after dW/dX — LIFO release
-  c.cols = WsMatrix{};
+  ws.rewind(c.kept.mark);  // retained input dead after dW/dX — LIFO release
+  c.kept = WsMatrix{};
   return grad_input;
 }
 

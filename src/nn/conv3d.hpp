@@ -1,10 +1,13 @@
-// 3-D convolution layer (vol2col + GEMM implementation).
+// 3-D convolution layer.
 //
 // The paper's 3D upscaling blocks apply 3-D convolutions over
 // (temporal depth, height, width) volumes to "jointly extract spatial and
-// temporal features" from the S-frame coarse input. The whole batch lowers
-// to one (C·kd·kh·kw, N·od·oh·ow) matrix, so each step is a single GEMM on
-// the shared parallel engine.
+// temporal features" from the S-frame coarse input. Stride-1 convolutions
+// whose lowered product runs the panel kernel are computed directly from
+// one zero-padded copy of the whole batch (conv_stride1_into); the others
+// lower the batch to one (C·kd·kh·kw, N·od·oh·ow) matrix and run a single
+// GEMM on the shared parallel engine. Forward retains the padded input or
+// the lowered matrix in the thread's arena until backward rewinds it.
 #pragma once
 
 #include <array>
@@ -59,7 +62,10 @@ class Conv3d final : public Layer {
   // Forward caches, one slot per replica slice (slot 0 in direct mode).
   struct Cache {
     Shape input_shape;
-    WsMatrix cols;  // arena-resident vol2col matrix (C·kd·kh·kw, N·od·oh·ow)
+    // The padded input (N·C padded volumes) when `padded`, else the
+    // vol2col matrix (C·kd·kh·kw, N·od·oh·ow).
+    WsMatrix kept;
+    bool padded = false;
   };
   std::vector<Cache> cache_{1};
   Cache& cache_slot();

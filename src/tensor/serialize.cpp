@@ -1,10 +1,12 @@
 #include "src/tensor/serialize.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -29,6 +31,46 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+// Bytes from the read position to the end of `in`, or -1 when the stream
+// cannot seek (a pipe).
+std::int64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) return -1;
+  return static_cast<std::int64_t>(end - here);
+}
+
+// Reads `count` elements of T for the field `what`, allocating no more than
+// the input can still hold: a count past the bytes left throws before any
+// allocation, and a stream that cannot report its size is read one bounded
+// step at a time, so memory grows only with bytes actually delivered.
+template <typename T>
+std::vector<T> read_array(std::istream& in, std::int64_t count,
+                          const std::string& what) {
+  constexpr auto kSize = static_cast<std::int64_t>(sizeof(T));
+  const std::int64_t left = bytes_left(in);
+  if (left >= 0 && count > left / kSize) {
+    throw std::runtime_error(what + " of " + std::to_string(count) +
+                             " elements exceeds the " + std::to_string(left) +
+                             " bytes left in the input");
+  }
+  constexpr std::int64_t kStep = (std::int64_t{1} << 22) / kSize;  // 4 MiB
+  std::vector<T> values;
+  for (std::int64_t done = 0; done < count;) {
+    const std::int64_t n = std::min(left >= 0 ? count : kStep, count - done);
+    values.resize(static_cast<std::size_t>(done + n));
+    in.read(reinterpret_cast<char*>(values.data() + done),
+            static_cast<std::streamsize>(n * kSize));
+    if (!in) throw std::runtime_error(what + ": truncated input");
+    done += n;
+  }
+  return values;
+}
+
 void write_string(std::ostream& out, const std::string& s) {
   write_pod<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
   out.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -36,11 +78,14 @@ void write_string(std::ostream& out, const std::string& s) {
 
 std::string read_string(std::istream& in) {
   const auto n = read_pod<std::uint32_t>(in);
-  std::string s(n, '\0');
-  in.read(s.data(), n);
-  if (!in) throw std::runtime_error("tensor deserialization: truncated name");
-  return s;
+  const std::vector<char> bytes =
+      read_array<char>(in, n, "load_tensors: tensor name");
+  return std::string(bytes.begin(), bytes.end());
 }
+
+// Smallest serialized (name, tensor) entry: name length, magic, version,
+// rank and one dim (an empty name and a zero-volume tensor).
+constexpr std::int64_t kMinEntryBytes = 4 + 8 + 4 + 4 + 8;
 
 }  // namespace
 
@@ -72,16 +117,22 @@ Tensor read_tensor(std::istream& in) {
     throw std::runtime_error("read_tensor: bad rank");
   }
   std::vector<std::int64_t> dims(rank);
+  // The payload's float count, checked so its byte size fits in int64.
+  constexpr std::int64_t kMaxVolume =
+      std::numeric_limits<std::int64_t>::max() /
+      static_cast<std::int64_t>(sizeof(float));
+  std::int64_t volume = 1;
   for (auto& d : dims) {
     d = read_pod<std::int64_t>(in);
     if (d < 0) throw std::runtime_error("read_tensor: negative dim");
+    if (d != 0 && volume > kMaxVolume / d) {
+      throw std::runtime_error("read_tensor: dims overflow the payload size");
+    }
+    volume *= d;
   }
-  Shape shape(dims);
-  std::vector<float> values(static_cast<std::size_t>(shape.volume()));
-  in.read(reinterpret_cast<char*>(values.data()),
-          static_cast<std::streamsize>(values.size() * sizeof(float)));
-  if (!in) throw std::runtime_error("read_tensor: truncated payload");
-  return Tensor(shape, std::move(values));
+  std::vector<float> values =
+      read_array<float>(in, volume, "read_tensor: payload");
+  return Tensor(Shape(dims), std::move(values));
 }
 
 void save_tensors(const std::string& path,
@@ -117,8 +168,14 @@ std::vector<std::pair<std::string, Tensor>> load_tensors(
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_tensors: cannot open " + path);
   const auto count = read_pod<std::uint32_t>(in);
+  const std::int64_t left = bytes_left(in);
+  if (left >= 0 && count > left / kMinEntryBytes) {
+    throw std::runtime_error("load_tensors: tensor count " +
+                             std::to_string(count) + " exceeds what the " +
+                             std::to_string(left) + " bytes left can hold");
+  }
   std::vector<std::pair<std::string, Tensor>> tensors;
-  tensors.reserve(count);
+  if (left >= 0) tensors.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::string name = read_string(in);
     tensors.emplace_back(std::move(name), read_tensor(in));

@@ -18,7 +18,9 @@ namespace mtsr {
 void write_tensor(std::ostream& out, const Tensor& tensor);
 
 /// Reads one tensor previously written by write_tensor. Throws
-/// std::runtime_error on malformed input.
+/// std::runtime_error on malformed input: dims whose product overflows, or
+/// a payload larger than the bytes left in a seekable stream, throw before
+/// the payload is allocated; an unseekable stream is read in bounded steps.
 [[nodiscard]] Tensor read_tensor(std::istream& in);
 
 /// Writes a named collection of tensors to `path` (count-prefixed sequence
@@ -29,7 +31,10 @@ void write_tensor(std::ostream& out, const Tensor& tensor);
 void save_tensors(const std::string& path,
                   const std::vector<std::pair<std::string, Tensor>>& tensors);
 
-/// Reads back a collection written by save_tensors.
+/// Reads back a collection written by save_tensors. The tensor count and
+/// each name length are checked against the bytes left in the file before
+/// anything is reserved; a violation throws std::runtime_error naming the
+/// field.
 [[nodiscard]] std::vector<std::pair<std::string, Tensor>> load_tensors(
     const std::string& path);
 

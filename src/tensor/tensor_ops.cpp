@@ -95,30 +95,59 @@ constexpr std::int64_t kMr = 16;
 #define MTSR_SIMD_CLONES
 #endif
 
-// C[i0:i1, j0:j1] += A[i0:i1, kk0:kk1] * panel, where `panel` holds B rows
-// kk0:kk1 for absolute columns [j0, j1) (row stride kNc). Portable
-// microkernel: a 4×kMr C tile accumulated in registers against packed
-// A quads and panel rows streamed through L1. Per output element the
-// accumulation is the plain ascending-k sequence (the registers only hold
-// what memory held before), so results stay bit-identical across pool
-// sizes AND match the unblocked i-k-j order exactly. Also the
-// "scalar"/"sse2" forced levels.
-void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
-                           const float* panel, float* pc, std::int64_t ldc,
-                           std::int64_t i0, std::int64_t i1, std::int64_t kk0,
+// Every panel microkernel computes C[i0:i1, j0:j1] += A[i0:i1, kk0:kk1] · B
+// and finds B through a row accessor: rows.row(kk) is k-tile row kk0 + kk
+// from column j0 on, and rows.ahead(kk) the row four steps later (the
+// prefetch target). The packed GEMM passes PanelRows, a packed panel with
+// rows kNc apart; the direct convolution passes TapRows, the padded input
+// with one row per tap (conv_stride1_into). Each kernel is one template,
+// so both instantiations run the same arithmetic on the same elements.
+struct PanelRows {
+  const float* b;
+  const float* row(std::int64_t kk) const { return b + kk * kNc; }
+  const float* ahead(std::int64_t kk) const { return b + (kk + 4) * kNc; }
+};
+
+struct TapRows {
+  const float* b;
+  const std::int64_t* off;  // one offset per k-tile row
+  std::int64_t kc;
+  const float* row(std::int64_t kk) const { return b + off[kk]; }
+  const float* ahead(std::int64_t kk) const {
+    return b + off[std::min(kk + 4, kc - 1)];
+  }
+};
+
+// Portable microkernel: a 4×kMr C tile accumulated in registers against
+// packed A quads and B rows streamed through L1. Per output element the
+// accumulation is the plain ascending-k sequence of a rounded multiply and
+// a rounded add (the registers only hold what memory held before), and a k
+// step whose four A values are all zero is skipped for every column of the
+// quad, so results depend neither on pool size nor on where a column falls
+// in the tile. A is packed negated and each step computes acc - (-a)·b,
+// which equals acc + a·b in every bit unless an operand is NaN: subtraction
+// does not commute, so when both operands are NaN the compiler cannot
+// choose whose payload survives — it is always the accumulator's, in
+// every loop below. Also the "scalar"/"sse2" forced levels.
+template <typename Rows>
+void gemm_nn_panel_generic(const float* pa, std::int64_t lda, Rows rows,
+                           float* pc, std::int64_t ldc, std::int64_t i0,
+                           std::int64_t i1, std::int64_t kk0,
                            std::int64_t kk1, std::int64_t j0,
                            std::int64_t j1) {
   alignas(64) float apack[4 * kKc];
   const std::int64_t width = j1 - j0;
+  const std::int64_t kc = kk1 - kk0;
   std::int64_t i = i0;
   for (; i + 4 <= i1; i += 4) {
-    // Pack the 4×kc A tile k-major: the microkernel reads one quad per k.
-    for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-      float* q = apack + (kk - kk0) * 4;
-      q[0] = pa[(i + 0) * lda + kk];
-      q[1] = pa[(i + 1) * lda + kk];
-      q[2] = pa[(i + 2) * lda + kk];
-      q[3] = pa[(i + 3) * lda + kk];
+    // Pack the negated 4×kc A tile k-major: one quad per k step.
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      float* q = apack + kk * 4;
+      const float* acol = pa + kk0 + kk;
+      q[0] = -acol[(i + 0) * lda];
+      q[1] = -acol[(i + 1) * lda];
+      q[2] = -acol[(i + 2) * lda];
+      q[3] = -acol[(i + 3) * lda];
     }
     float* c0 = pc + (i + 0) * ldc + j0;
     float* c1 = pc + (i + 1) * ldc + j0;
@@ -133,17 +162,17 @@ void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
         acc2[t] = c2[j + t];
         acc3[t] = c3[j + t];
       }
-      for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-        const float* q = apack + (kk - kk0) * 4;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* q = apack + kk * 4;
         const float a0 = q[0], a1 = q[1], a2 = q[2], a3 = q[3];
         if (a0 == 0.f && a1 == 0.f && a2 == 0.f && a3 == 0.f) continue;
-        const float* b = panel + (kk - kk0) * kNc + j;
+        const float* b = rows.row(kk) + j;
         for (int t = 0; t < kMr; ++t) {
           const float bt = b[t];
-          acc0[t] += a0 * bt;
-          acc1[t] += a1 * bt;
-          acc2[t] += a2 * bt;
-          acc3[t] += a3 * bt;
+          acc0[t] -= a0 * bt;
+          acc1[t] -= a1 * bt;
+          acc2[t] -= a2 * bt;
+          acc3[t] -= a3 * bt;
         }
       }
       for (int t = 0; t < kMr; ++t) {
@@ -153,15 +182,18 @@ void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
         c3[j + t] = acc3[t];
       }
     }
-    for (; j < width; ++j) {  // tail columns: same order, registers per row
+    for (; j < width; ++j) {  // tail columns: same order and zero-quad skip
       float s0 = c0[j], s1 = c1[j], s2 = c2[j], s3 = c3[j];
-      for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-        const float* q = apack + (kk - kk0) * 4;
-        const float bt = panel[(kk - kk0) * kNc + j];
-        s0 += q[0] * bt;
-        s1 += q[1] * bt;
-        s2 += q[2] * bt;
-        s3 += q[3] * bt;
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* q = apack + kk * 4;
+        if (q[0] == 0.f && q[1] == 0.f && q[2] == 0.f && q[3] == 0.f) {
+          continue;
+        }
+        const float bt = rows.row(kk)[j];
+        s0 -= q[0] * bt;
+        s1 -= q[1] * bt;
+        s2 -= q[2] * bt;
+        s3 -= q[3] * bt;
       }
       c0[j] = s0;
       c1[j] = s1;
@@ -169,13 +201,16 @@ void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
       c3[j] = s3;
     }
   }
-  for (; i < i1; ++i) {  // remainder rows: plain i-k-j over the panel
+  for (; i < i1; ++i) {  // remainder rows: plain i-k-j over the B rows
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      apack[kk] = -pa[i * lda + kk0 + kk];
+    }
     float* crow = pc + i * ldc + j0;
-    for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-      const float aik = pa[i * lda + kk];
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      const float aik = apack[kk];
       if (aik == 0.f) continue;
-      const float* brow = panel + (kk - kk0) * kNc;
-      for (std::int64_t j = 0; j < width; ++j) crow[j] += aik * brow[j];
+      const float* b = rows.row(kk);
+      for (std::int64_t j = 0; j < width; ++j) crow[j] -= aik * b[j];
     }
   }
 }
@@ -184,20 +219,28 @@ void gemm_nn_panel_generic(const float* pa, std::int64_t lda,
 
 // Hand-scheduled AVX-512 panel microkernel: an 8×32 C tile — 16 zmm
 // accumulators, two 16-lane B loads and eight broadcast-FMAs per k step —
-// held in registers across the whole k-tile, with the B panel prefetched
-// four k rows ahead of use. Every output element accumulates as the plain
-// ascending-k fold of single-rounded FMAs (no zero-skip, no
+// held in registers across the whole k-tile, with B prefetched four k rows
+// ahead of use. Row remainders run a 4×64 and then a 1×64 tile, so a
+// product with few rows (a 4- or 1-channel conv) still keeps 16 or 4
+// independent FMA chains in flight. Every output element accumulates as
+// the plain ascending-k fold of single-rounded FMAs (no zero-skip, no
 // reassociation), so the per-element result is independent of row-group
 // phase, column-tile position, and chunk geometry: bit-identity across
 // pool sizes holds by construction. Column tails run the identical FMA
 // sequence through masked loads/stores.
+template <typename Rows>
 __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
-    const float* pa, std::int64_t lda, const float* panel, float* pc,
+    const float* pa, std::int64_t lda, Rows rows, float* pc,
     std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t kk0,
     std::int64_t kk1, std::int64_t j0, std::int64_t j1) {
   alignas(64) float apack[8 * kKc];
   const std::int64_t width = j1 - j0;
   const std::int64_t kc = kk1 - kk0;
+  const auto tail_mask = [width](std::int64_t j) {
+    const std::int64_t rem = width - j;
+    return rem >= 16 ? static_cast<__mmask16>(0xffff)
+                     : static_cast<__mmask16>((1u << rem) - 1u);
+  };
   std::int64_t i = i0;
   for (; i + 8 <= i1; i += 8) {
     // Pack the 8×kc A tile k-major: one 8-float quad read per k step.
@@ -215,7 +258,6 @@ __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
     }
     std::int64_t j = 0;
     for (; j + 32 <= width; j += 32) {
-      const float* bp = panel + j;
       float* cp = pc + i * ldc + j0 + j;
       __m512 acc[8][2];
       for (int r = 0; r < 8; ++r) {
@@ -223,11 +265,11 @@ __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
         acc[r][1] = _mm512_loadu_ps(cp + r * ldc + 16);
       }
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float* brow = bp + kk * kNc;
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * kNc),
+        const float* bk = rows.row(kk) + j;
+        _mm_prefetch(reinterpret_cast<const char*>(rows.ahead(kk) + j),
                      _MM_HINT_T0);
-        const __m512 b0 = _mm512_loadu_ps(brow);
-        const __m512 b1 = _mm512_loadu_ps(brow + 16);
+        const __m512 b0 = _mm512_loadu_ps(bk);
+        const __m512 b1 = _mm512_loadu_ps(bk + 16);
         const float* q = apack + kk * 8;
         for (int r = 0; r < 8; ++r) {
           const __m512 av = _mm512_set1_ps(q[r]);
@@ -241,18 +283,14 @@ __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
       }
     }
     for (; j < width; j += 16) {  // 16-wide tail, masked on the last block
-      const std::int64_t rem = width - j;
-      const __mmask16 mask =
-          rem >= 16 ? static_cast<__mmask16>(0xffff)
-                    : static_cast<__mmask16>((1u << rem) - 1u);
-      const float* bp = panel + j;
+      const __mmask16 mask = tail_mask(j);
       float* cp = pc + i * ldc + j0 + j;
       __m512 acc[8];
       for (int r = 0; r < 8; ++r) {
         acc[r] = _mm512_maskz_loadu_ps(mask, cp + r * ldc);
       }
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m512 b = _mm512_maskz_loadu_ps(mask, bp + kk * kNc);
+        const __m512 b = _mm512_maskz_loadu_ps(mask, rows.row(kk) + j);
         const float* q = apack + kk * 8;
         for (int r = 0; r < 8; ++r) {
           acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(q[r]), b, acc[r]);
@@ -263,17 +301,74 @@ __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
       }
     }
   }
-  for (; i < i1; ++i) {  // remainder rows: same per-element FMA fold
+  for (; i + 4 <= i1; i += 4) {  // 4-row remainder: 4×64, then 4×16 tails
+    const float* arow = pa + i * lda + kk0;
+    std::int64_t j = 0;
+    for (; j + 64 <= width; j += 64) {
+      float* cp = pc + i * ldc + j0 + j;
+      __m512 acc[4][4];
+      for (int r = 0; r < 4; ++r) {
+        for (int v = 0; v < 4; ++v) {
+          acc[r][v] = _mm512_loadu_ps(cp + r * ldc + v * 16);
+        }
+      }
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* bk = rows.row(kk) + j;
+        __m512 b[4];
+        for (int v = 0; v < 4; ++v) b[v] = _mm512_loadu_ps(bk + v * 16);
+        for (int r = 0; r < 4; ++r) {
+          const __m512 av = _mm512_set1_ps(arow[r * lda + kk]);
+          for (int v = 0; v < 4; ++v) {
+            acc[r][v] = _mm512_fmadd_ps(av, b[v], acc[r][v]);
+          }
+        }
+      }
+      for (int r = 0; r < 4; ++r) {
+        for (int v = 0; v < 4; ++v) {
+          _mm512_storeu_ps(cp + r * ldc + v * 16, acc[r][v]);
+        }
+      }
+    }
+    for (; j < width; j += 16) {
+      const __mmask16 mask = tail_mask(j);
+      float* cp = pc + i * ldc + j0 + j;
+      __m512 acc[4];
+      for (int r = 0; r < 4; ++r) {
+        acc[r] = _mm512_maskz_loadu_ps(mask, cp + r * ldc);
+      }
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const __m512 b = _mm512_maskz_loadu_ps(mask, rows.row(kk) + j);
+        for (int r = 0; r < 4; ++r) {
+          acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r * lda + kk]), b,
+                                   acc[r]);
+        }
+      }
+      for (int r = 0; r < 4; ++r) {
+        _mm512_mask_storeu_ps(cp + r * ldc, mask, acc[r]);
+      }
+    }
+  }
+  for (; i < i1; ++i) {  // single rows: 1×64, then 16-wide tails
     const float* arow = pa + i * lda + kk0;
     float* crow = pc + i * ldc + j0;
-    for (std::int64_t j = 0; j < width; j += 16) {
-      const std::int64_t rem = width - j;
-      const __mmask16 mask =
-          rem >= 16 ? static_cast<__mmask16>(0xffff)
-                    : static_cast<__mmask16>((1u << rem) - 1u);
+    std::int64_t j = 0;
+    for (; j + 64 <= width; j += 64) {
+      __m512 acc[4];
+      for (int v = 0; v < 4; ++v) acc[v] = _mm512_loadu_ps(crow + j + v * 16);
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* bk = rows.row(kk) + j;
+        const __m512 av = _mm512_set1_ps(arow[kk]);
+        for (int v = 0; v < 4; ++v) {
+          acc[v] = _mm512_fmadd_ps(av, _mm512_loadu_ps(bk + v * 16), acc[v]);
+        }
+      }
+      for (int v = 0; v < 4; ++v) _mm512_storeu_ps(crow + j + v * 16, acc[v]);
+    }
+    for (; j < width; j += 16) {
+      const __mmask16 mask = tail_mask(j);
       __m512 acc = _mm512_maskz_loadu_ps(mask, crow + j);
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m512 b = _mm512_maskz_loadu_ps(mask, panel + kk * kNc + j);
+        const __m512 b = _mm512_maskz_loadu_ps(mask, rows.row(kk) + j);
         acc = _mm512_fmadd_ps(_mm512_set1_ps(arow[kk]), b, acc);
       }
       _mm512_mask_storeu_ps(crow + j, mask, acc);
@@ -283,11 +378,14 @@ __attribute__((target("avx512f"))) void gemm_nn_panel_avx512(
 
 // Hand-scheduled AVX2 panel microkernel: a 6×16 C tile (12 ymm
 // accumulators, two B loads + six broadcast-FMAs per k step; 15 of 16 ymm
-// in flight). Tails drop to one 8-lane vector, then scalar std::fmaf —
-// the identical single-rounded ascending-k fold per element, so the same
-// bit-identity argument as the AVX-512 kernel applies.
+// in flight). Row remainders run a 4×16 and then a 1×64 tile (8
+// accumulators each). Tails drop to one 8-lane vector, then scalar
+// std::fmaf — the identical single-rounded ascending-k fold per element,
+// so the same bit-identity argument as the AVX-512 kernel applies, and the
+// two kernels agree bit for bit.
+template <typename Rows>
 __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
-    const float* pa, std::int64_t lda, const float* panel, float* pc,
+    const float* pa, std::int64_t lda, Rows rows, float* pc,
     std::int64_t ldc, std::int64_t i0, std::int64_t i1, std::int64_t kk0,
     std::int64_t kk1, std::int64_t j0, std::int64_t j1) {
   alignas(64) float apack[6 * kKc];
@@ -307,7 +405,6 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
     }
     std::int64_t j = 0;
     for (; j + 16 <= width; j += 16) {
-      const float* bp = panel + j;
       float* cp = pc + i * ldc + j0 + j;
       __m256 acc[6][2];
       for (int r = 0; r < 6; ++r) {
@@ -315,11 +412,11 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
         acc[r][1] = _mm256_loadu_ps(cp + r * ldc + 8);
       }
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float* brow = bp + kk * kNc;
-        _mm_prefetch(reinterpret_cast<const char*>(brow + 4 * kNc),
+        const float* bk = rows.row(kk) + j;
+        _mm_prefetch(reinterpret_cast<const char*>(rows.ahead(kk) + j),
                      _MM_HINT_T0);
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
+        const __m256 b0 = _mm256_loadu_ps(bk);
+        const __m256 b1 = _mm256_loadu_ps(bk + 8);
         const float* q = apack + kk * 6;
         for (int r = 0; r < 6; ++r) {
           const __m256 av = _mm256_set1_ps(q[r]);
@@ -333,12 +430,11 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
       }
     }
     for (; j + 8 <= width; j += 8) {
-      const float* bp = panel + j;
       float* cp = pc + i * ldc + j0 + j;
       __m256 acc[6];
       for (int r = 0; r < 6; ++r) acc[r] = _mm256_loadu_ps(cp + r * ldc);
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m256 b = _mm256_loadu_ps(bp + kk * kNc);
+        const __m256 b = _mm256_loadu_ps(rows.row(kk) + j);
         const float* q = apack + kk * 6;
         for (int r = 0; r < 6; ++r) {
           acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(q[r]), b, acc[r]);
@@ -351,21 +447,84 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
       float s[6];
       for (int r = 0; r < 6; ++r) s[r] = cp[r * ldc];
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float bt = panel[kk * kNc + j];
+        const float bt = rows.row(kk)[j];
         const float* q = apack + kk * 6;
         for (int r = 0; r < 6; ++r) s[r] = std::fmaf(q[r], bt, s[r]);
       }
       for (int r = 0; r < 6; ++r) cp[r * ldc] = s[r];
     }
   }
-  for (; i < i1; ++i) {  // remainder rows
+  for (; i + 4 <= i1; i += 4) {  // 4-row remainder: 4×16, 4×8, scalar
+    const float* arow = pa + i * lda + kk0;
+    std::int64_t j = 0;
+    for (; j + 16 <= width; j += 16) {
+      float* cp = pc + i * ldc + j0 + j;
+      __m256 acc[4][2];
+      for (int r = 0; r < 4; ++r) {
+        acc[r][0] = _mm256_loadu_ps(cp + r * ldc);
+        acc[r][1] = _mm256_loadu_ps(cp + r * ldc + 8);
+      }
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* bk = rows.row(kk) + j;
+        const __m256 b0 = _mm256_loadu_ps(bk);
+        const __m256 b1 = _mm256_loadu_ps(bk + 8);
+        for (int r = 0; r < 4; ++r) {
+          const __m256 av = _mm256_set1_ps(arow[r * lda + kk]);
+          acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+          acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+        }
+      }
+      for (int r = 0; r < 4; ++r) {
+        _mm256_storeu_ps(cp + r * ldc, acc[r][0]);
+        _mm256_storeu_ps(cp + r * ldc + 8, acc[r][1]);
+      }
+    }
+    for (; j + 8 <= width; j += 8) {
+      float* cp = pc + i * ldc + j0 + j;
+      __m256 acc[4];
+      for (int r = 0; r < 4; ++r) acc[r] = _mm256_loadu_ps(cp + r * ldc);
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const __m256 b = _mm256_loadu_ps(rows.row(kk) + j);
+        for (int r = 0; r < 4; ++r) {
+          acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r * lda + kk]), b,
+                                   acc[r]);
+        }
+      }
+      for (int r = 0; r < 4; ++r) _mm256_storeu_ps(cp + r * ldc, acc[r]);
+    }
+    for (; j < width; ++j) {
+      float* cp = pc + i * ldc + j0 + j;
+      float s[4];
+      for (int r = 0; r < 4; ++r) s[r] = cp[r * ldc];
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float bt = rows.row(kk)[j];
+        for (int r = 0; r < 4; ++r) {
+          s[r] = std::fmaf(arow[r * lda + kk], bt, s[r]);
+        }
+      }
+      for (int r = 0; r < 4; ++r) cp[r * ldc] = s[r];
+    }
+  }
+  for (; i < i1; ++i) {  // single rows: 1×64, 1×8, scalar
     const float* arow = pa + i * lda + kk0;
     float* crow = pc + i * ldc + j0;
     std::int64_t j = 0;
+    for (; j + 64 <= width; j += 64) {
+      __m256 acc[8];
+      for (int v = 0; v < 8; ++v) acc[v] = _mm256_loadu_ps(crow + j + v * 8);
+      for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float* bk = rows.row(kk) + j;
+        const __m256 av = _mm256_set1_ps(arow[kk]);
+        for (int v = 0; v < 8; ++v) {
+          acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bk + v * 8), acc[v]);
+        }
+      }
+      for (int v = 0; v < 8; ++v) _mm256_storeu_ps(crow + j + v * 8, acc[v]);
+    }
     for (; j + 8 <= width; j += 8) {
       __m256 acc = _mm256_loadu_ps(crow + j);
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m256 b = _mm256_loadu_ps(panel + kk * kNc + j);
+        const __m256 b = _mm256_loadu_ps(rows.row(kk) + j);
         acc = _mm256_fmadd_ps(_mm256_set1_ps(arow[kk]), b, acc);
       }
       _mm256_storeu_ps(crow + j, acc);
@@ -373,7 +532,7 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
     for (; j < width; ++j) {
       float s = crow[j];
       for (std::int64_t kk = 0; kk < kc; ++kk) {
-        s = std::fmaf(arow[kk], panel[kk * kNc + j], s);
+        s = std::fmaf(arow[kk], rows.row(kk)[j], s);
       }
       crow[j] = s;
     }
@@ -382,15 +541,26 @@ __attribute__((target("avx2,fma"))) void gemm_nn_panel_avx2(
 
 #endif  // __x86_64__ && __GNUC__
 
-using FloatPanelFn = void (*)(const float*, std::int64_t, const float*,
-                              float*, std::int64_t, std::int64_t,
+template <typename Rows>
+using FloatPanelFn = void (*)(const float*, std::int64_t, Rows, float*,
                               std::int64_t, std::int64_t, std::int64_t,
-                              std::int64_t, std::int64_t);
+                              std::int64_t, std::int64_t, std::int64_t,
+                              std::int64_t);
 
+// One dispatch level: its panel kernel instantiated for both B operands.
 struct FloatPanelKernel {
-  FloatPanelFn fn = &gemm_nn_panel_generic;
+  FloatPanelFn<PanelRows> packed = &gemm_nn_panel_generic<PanelRows>;
+  FloatPanelFn<TapRows> taps = &gemm_nn_panel_generic<TapRows>;
   const char* name = "generic";
 };
+
+#if defined(__x86_64__) && defined(__GNUC__)
+constexpr FloatPanelKernel kAvx512Kernel = {
+    &gemm_nn_panel_avx512<PanelRows>, &gemm_nn_panel_avx512<TapRows>,
+    "avx512"};
+constexpr FloatPanelKernel kAvx2Kernel = {
+    &gemm_nn_panel_avx2<PanelRows>, &gemm_nn_panel_avx2<TapRows>, "avx2"};
+#endif
 
 // Strict level lookup shared by the forced-kernel testing seam: resolves
 // exactly the requested level or reports that this host cannot run it.
@@ -398,18 +568,18 @@ struct FloatPanelKernel {
 // int8 dispatch and VNNI only changes the int8 microkernel.
 bool float_kernel_for_level(std::string_view level, FloatPanelKernel* out) {
   if (level == "scalar" || level == "sse2" || level == "generic") {
-    *out = {&gemm_nn_panel_generic, "generic"};
+    *out = {};
     return true;
   }
 #if defined(__x86_64__) && defined(__GNUC__)
   if ((level == "avx512" || level == "vnni") &&
       __builtin_cpu_supports("avx512f")) {
-    *out = {&gemm_nn_panel_avx512, "avx512"};
+    *out = kAvx512Kernel;
     return true;
   }
   if (level == "avx2" && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("fma")) {
-    *out = {&gemm_nn_panel_avx2, "avx2"};
+    *out = kAvx2Kernel;
     return true;
   }
 #endif
@@ -427,11 +597,11 @@ FloatPanelKernel resolve_float_kernel() {
       want.empty() || want == "avx512" || want == "vnni";
   const bool allow_avx2 = allow_avx512 || want == "avx2";
   if (allow_avx512 && __builtin_cpu_supports("avx512f")) {
-    return {&gemm_nn_panel_avx512, "avx512"};
+    return kAvx512Kernel;
   }
   if (allow_avx2 && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("fma")) {
-    return {&gemm_nn_panel_avx2, "avx2"};
+    return kAvx2Kernel;
   }
 #endif
   return {};
@@ -514,7 +684,7 @@ void gemm_nn_small_k_block(const float* pa, const float* pb, float* pc,
 // forced-kernel seam); the small-k path is kernel-independent.
 void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
              std::int64_t k, std::int64_t n, bool accumulate,
-             FloatPanelFn kernel) {
+             FloatPanelFn<PanelRows> kernel) {
   if (k <= kSmallK) {  // degenerate k: no packing, no workspace
     if (m >= n) {
       parallel_for_grain(m, kRowGrain,
@@ -557,7 +727,7 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
       for (std::int64_t jt = 0; jt < njt; ++jt) {
         const std::int64_t j0 = jt * kNc, j1 = std::min(n, j0 + kNc);
         for (std::int64_t kk0 = 0; kk0 < k; kk0 += kKc) {
-          kernel(pa, k, panel_at(kk0, jt), pc, n, i0, i1, kk0,
+          kernel(pa, k, PanelRows{panel_at(kk0, jt)}, pc, n, i0, i1, kk0,
                  std::min(k, kk0 + kKc), j0, j1);
         }
       }
@@ -579,7 +749,7 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
           float* panel = panel_at(kk0, jt);
           const std::int64_t kk1 = std::min(k, kk0 + kKc);
           pack_b_panel(pb, n, kk0, kk1, j0, j1, panel);
-          kernel(pa, k, panel, pc, n, 0, m, kk0, kk1, j0, j1);
+          kernel(pa, k, PanelRows{panel}, pc, n, 0, m, kk0, kk1, j0, j1);
         }
       }
     });
@@ -1064,7 +1234,7 @@ const char* matmul_kernel_name() { return float_panel_kernel().name; }
 
 void matmul_into(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n, bool accumulate) {
-  gemm_nn(a, b, c, m, k, n, accumulate, float_panel_kernel().fn);
+  gemm_nn(a, b, c, m, k, n, accumulate, float_panel_kernel().packed);
 }
 
 bool matmul_into_forced_kernel(const char* level, const float* a,
@@ -1075,7 +1245,7 @@ bool matmul_into_forced_kernel(const char* level, const float* a,
   if (!float_kernel_for_level(level != nullptr ? level : "", &kernel)) {
     return false;
   }
-  gemm_nn(a, b, c, m, k, n, accumulate, kernel.fn);
+  gemm_nn(a, b, c, m, k, n, accumulate, kernel.packed);
   return true;
 }
 
@@ -1087,7 +1257,7 @@ void matmul_tn_into(const float* a, const float* b, float* c, std::int64_t k,
   Workspace::Scope scratch(ws);
   float* at = ws.alloc(m * k);
   transpose_into(a, k, m, at);
-  gemm_nn(at, b, c, m, k, n, accumulate, float_panel_kernel().fn);
+  gemm_nn(at, b, c, m, k, n, accumulate, float_panel_kernel().packed);
 }
 
 void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
@@ -1522,6 +1692,119 @@ void vol2col_batched_u8_into(const std::uint8_t* pi, std::int64_t n,
                              std::uint8_t* po) {
   vol2col_lower(pi, n, c, d, h, w, kd, kh, kw, stride_d, stride_h, stride_w,
                 pad_d, pad_h, pad_w, pad, po);
+}
+
+// ---- Direct stride-1 convolution -------------------------------------------
+
+namespace {
+
+// Padded-grid columns per task of conv_stride1_into: a few hundred keep the
+// task's B rows (a band of the padded input) in L1 while the register
+// tiles run mostly full.
+constexpr std::int64_t kConvTaskCols = 256;
+
+}  // namespace
+
+void pad_volume_into(const float* pi, std::int64_t planes, std::int64_t d,
+                     std::int64_t h, std::int64_t w, int pad_d, int pad_h,
+                     int pad_w, float* po) {
+  const std::int64_t dp = d + 2 * pad_d, hp = h + 2 * pad_h,
+                     wp = w + 2 * pad_w;
+  const std::int64_t in_plane = d * h * w, out_plane = dp * hp * wp;
+  parallel_for_grain(planes, std::max<std::int64_t>(1, 8192 / out_plane),
+                     [&](std::int64_t p0, std::int64_t p1, int) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const float* src = pi + p * in_plane;
+      float* dst = po + p * out_plane;
+      std::fill(dst, dst + out_plane, 0.f);
+      for (std::int64_t z = 0; z < d; ++z) {
+        for (std::int64_t y = 0; y < h; ++y) {
+          std::copy_n(src + (z * h + y) * w, w,
+                      dst + ((z + pad_d) * hp + y + pad_h) * wp + pad_w);
+        }
+      }
+    }
+  });
+}
+
+bool conv_stride1_direct(std::int64_t m, std::int64_t k,
+                         std::int64_t positions) {
+  return k > kSmallK && m < positions;
+}
+
+void conv_stride1_into(const float* xpad, std::int64_t n, std::int64_t c,
+                       std::int64_t dp, std::int64_t hp, std::int64_t wp,
+                       int kd, int kh, int kw, const float* weight,
+                       std::int64_t m, const float* bias, float* out) {
+  const std::int64_t od = dp - kd + 1, oh = hp - kh + 1, ow = wp - kw + 1;
+  const std::int64_t plane = dp * hp * wp;
+  const std::int64_t k = c * kd * kh * kw;
+  check(od > 0 && oh > 0 && ow > 0 &&
+            conv_stride1_direct(m, k, n * od * oh * ow),
+        "conv_stride1_into: shape outside the direct-convolution rule");
+  // On the padded grid, output position f (line (oz, oy) starts at
+  // (oz·hp + oy)·wp) reads tap (ch, kz, ky, kx) at f + tap[t]: one
+  // contiguous B row per tap, in the lowered matrix's row order.
+  std::vector<std::int64_t> tap;
+  tap.reserve(static_cast<std::size_t>(k));
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    for (int kz = 0; kz < kd; ++kz) {
+      for (int ky = 0; ky < kh; ++ky) {
+        for (int kx = 0; kx < kw; ++kx) {
+          tap.push_back(ch * plane + (kz * hp + ky) * wp + kx);
+        }
+      }
+    }
+  }
+  const std::int64_t lines = od * oh;
+  const auto line_start = [&](std::int64_t r) {
+    return ((r / oh) * hp + r % oh) * wp;
+  };
+  // Columns [0, span) cover every output position; the wp - ow columns
+  // past each line (and the padding lines between depth slices) are
+  // computed and dropped.
+  const std::int64_t span = line_start(lines - 1) + ow;
+  const std::int64_t chunks = std::max(std::min<std::int64_t>(lines, 2),
+                                       ceil_div(lines * wp, kConvTaskCols));
+  const std::int64_t lines_per_chunk = ceil_div(lines, chunks);
+  const std::int64_t tasks_per_sample = ceil_div(lines, lines_per_chunk);
+
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scratch(ws);
+  float* y = ws.alloc(n * m * span);  // per sample (m, span)
+  const FloatPanelFn<TapRows> kernel = float_panel_kernel().taps;
+  parallel_for(n * tasks_per_sample, [&](std::int64_t t) {
+    const std::int64_t s = t / tasks_per_sample;
+    const std::int64_t r0 = (t % tasks_per_sample) * lines_per_chunk;
+    const std::int64_t r1 = std::min(lines, r0 + lines_per_chunk);
+    const std::int64_t j0 = line_start(r0), j1 = line_start(r1 - 1) + ow;
+    const float* xs = xpad + s * c * plane;
+    float* ys = y + s * m * span;
+    for (std::int64_t i = 0; i < m; ++i) {
+      std::fill(ys + i * span + j0, ys + i * span + j1, 0.f);
+    }
+    // The same kernel, row range [0, m) and k-tiles as the wide GEMM
+    // driver: each output is the lowered product's fold, bit for bit.
+    for (std::int64_t kk0 = 0; kk0 < k; kk0 += kKc) {
+      const std::int64_t kk1 = std::min(k, kk0 + kKc);
+      kernel(weight, k, TapRows{xs + j0, tap.data() + kk0, kk1 - kk0}, ys,
+             span, 0, m, kk0, kk1, j0, j1);
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* yrow = ys + i * span;
+      float* orow = out + (s * m + i) * lines * ow;
+      for (std::int64_t r = r0; r < r1; ++r) {
+        const float* src = yrow + line_start(r);
+        float* dst = orow + r * ow;
+        if (bias == nullptr) {
+          std::copy_n(src, ow, dst);
+        } else {
+          const float b = bias[i];
+          for (std::int64_t x = 0; x < ow; ++x) dst[x] = src[x] + b;
+        }
+      }
+    }
+  });
 }
 
 namespace {

@@ -260,6 +260,39 @@ void col2vol_batched_into(const float* columns, std::int64_t n,
                           int stride_w, int pad_d, int pad_h, int pad_w,
                           float* out);
 
+// ---- Direct stride-1 convolution -------------------------------------------
+//
+// A stride-1 convolution over a zero-padded input needs no lowered matrix:
+// on the padded grid, tap (c, kz, ky, kx) of output position f reads
+// xpad[c][f + (kz·hp + ky)·wp + kx], so each tap is one contiguous row and
+// the float panel microkernel reads it in place as its B operand. Output is
+// bit-identical to lowering the unpadded input (im2col_batched_into /
+// vol2col_batched_into), matmul_into, channel_major_to_batch_into and
+// add_channel_bias, at every SIMD level and pool size.
+
+/// Zero-pads `planes` row-major (d, h, w) volumes by (pad_d, pad_h, pad_w)
+/// on each side into `out` (planes × (d+2·pad_d, h+2·pad_h, w+2·pad_w)).
+void pad_volume_into(const float* input, std::int64_t planes, std::int64_t d,
+                     std::int64_t h, std::int64_t w, int pad_d, int pad_h,
+                     int pad_w, float* out);
+
+/// Whether conv_stride1_into computes a stride-1 convolution with m output
+/// channels, k = C·kd·kh·kw lowered rows and `positions` = N·od·oh·ow
+/// output positions: its lowered product must run the panel kernel
+/// (k > 32) over all m rows at once (m < positions, the wide driver).
+/// Other convolutions lower.
+[[nodiscard]] bool conv_stride1_direct(std::int64_t m, std::int64_t k,
+                                       std::int64_t positions);
+
+/// Stride-1 convolution from a padded batch `xpad` (n, c, dp, hp, wp):
+/// out (n, m, dp-kd+1, hp-kh+1, wp-kw+1) = weight (m, c·kd·kh·kw) applied
+/// at every position, plus bias[o] (nullable) as one float add. Requires
+/// conv_stride1_direct. A 2-D convolution is the dp = kd = 1 case.
+void conv_stride1_into(const float* xpad, std::int64_t n, std::int64_t c,
+                       std::int64_t dp, std::int64_t hp, std::int64_t wp,
+                       int kd, int kh, int kw, const float* weight,
+                       std::int64_t m, const float* bias, float* out);
+
 // ---- Quantised (uint8) lowering --------------------------------------------
 //
 // The int8 conv path quantises the layer INPUT image once (N·C·H·W

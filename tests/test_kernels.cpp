@@ -4,6 +4,9 @@
 // within 1e-5 relative of the naive i-k-j reference. Shapes cover the tall
 // and wide drivers, the k-tile (kKc = 256) and j-tile (kNc = 512)
 // boundaries, register-tile row remainders, and sub-vector column tails.
+// The avx2 and avx512 kernels run the same single-rounded FMA fold and
+// must agree bit for bit; the generic kernel rounds the multiply and the
+// add separately, so it is held to the reference tolerance only.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -35,6 +38,8 @@ struct MatmulCase {
 constexpr MatmulCase kCases[] = {
     {64, 64, 64},   {37, 100, 53},  {130, 300, 17}, {5, 288, 700},
     {9, 64, 1200},  {61, 40, 61},   {16, 257, 48},  {3, 48, 513},
+    // Few-row products (4×64 and 1×64 remainder tiles): the ZipNet convs.
+    {1, 162, 800},  {4, 108, 2400}, {12, 144, 200}, {18, 108, 130},
 };
 
 const char* const kLevels[] = {"scalar", "sse2", "avx2", "avx512", "vnni"};
@@ -138,6 +143,42 @@ TEST(FloatKernels, ForcedLevelsAccumulateOntoDestination) {
           << "level " << level << " at " << i;
     }
   }
+}
+
+// avx2 and avx512 compute each element as the same ascending-k chain of
+// single-rounded FMAs, so wherever the host runs both they agree bit for
+// bit — on finite inputs and, with NaN and ±inf in B, on NaN payloads too.
+TEST(FloatKernels, Avx2AndAvx512AgreeBitwise) {
+  Rng rng(94);
+  bool compared = false;
+  for (const auto& [m, k, n] : kCases) {
+    std::vector<float> a(static_cast<std::size_t>(m * k));
+    std::vector<float> b(static_cast<std::size_t>(k * n));
+    for (auto& v : a) v = rng.uniform() * 2.f - 1.f;
+    for (auto& v : b) v = rng.uniform() * 2.f - 1.f;
+    for (const bool special : {false, true}) {
+      if (special) {
+        const float values[] = {std::nanf(""), INFINITY, -INFINITY};
+        for (std::size_t i = 0; i < b.size(); i += 29) {
+          b[i] = values[(i / 29) % 3];
+        }
+      }
+      std::vector<float> c2(static_cast<std::size_t>(m * n), -1.f);
+      std::vector<float> c512(c2.size(), -2.f);
+      if (!matmul_into_forced_kernel("avx2", a.data(), b.data(), c2.data(),
+                                     m, k, n) ||
+          !matmul_into_forced_kernel("avx512", a.data(), b.data(),
+                                     c512.data(), m, k, n)) {
+        continue;
+      }
+      compared = true;
+      EXPECT_EQ(std::memcmp(c2.data(), c512.data(), c2.size() * sizeof(float)),
+                0)
+          << "m=" << m << " k=" << k << " n=" << n
+          << (special ? " with NaN/inf" : "");
+    }
+  }
+  if (!compared) GTEST_SKIP() << "host cannot run both avx2 and avx512";
 }
 
 // The production dispatch (matmul itself, whatever MTSR_SIMD selected)

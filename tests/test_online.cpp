@@ -21,6 +21,7 @@
 #include "src/online/trainer.hpp"
 #include "src/serving/engine.hpp"
 #include "src/serving/model.hpp"
+#include "tests/forged_checkpoint.hpp"
 
 namespace mtsr::online {
 namespace {
@@ -390,6 +391,45 @@ TEST(OnlineTrainer, TornCheckpointRejectedAndServingUntouched) {
   engine.close_session(id);
   control.close_session(control_id);
   std::remove(path.c_str());
+}
+
+// A promotion reloads through load_tensors: a checkpoint whose tensor
+// count, name length, dims or payload claims more than the file holds
+// throws out of reload_model without allocating it, and the old weights
+// keep serving bit for bit.
+TEST(OnlineTrainer, ForgedCheckpointsRejectedAndServingUntouched) {
+  data::TrafficDataset dataset = small_dataset(517);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+  serving::Engine engine;
+  engine.register_model(
+      "zipnet", std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+  serving::Engine control;
+  control.register_model(
+      "zipnet", std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+  const auto id = engine.open_session(stream_config(dataset));
+  const auto control_id = control.open_session(stream_config(dataset));
+
+  const std::string path = "test-online-forged.bin";
+  for (const auto& forged : forged::checkpoints()) {
+    forged::write_bytes(path, forged.bytes);
+    EXPECT_THROW(engine.reload_model("zipnet", path), std::runtime_error)
+        << forged.field;
+  }
+  std::remove(path.c_str());
+
+  std::size_t produced = 0;
+  for (std::int64_t t = 0; t < 8; ++t) {
+    auto a = engine.push(id, dataset.frame(t));
+    auto b = control.push(control_id, dataset.frame(t));
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (a) {
+      expect_bitwise(*a, *b, "post-forged-reload serving parity");
+      ++produced;
+    }
+  }
+  EXPECT_GT(produced, 0u);
+  engine.close_session(id);
+  control.close_session(control_id);
 }
 
 TEST(OnlineTrainer, ConfigValidation) {

@@ -3,10 +3,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "src/common/rng.hpp"
 #include "src/tensor/serialize.hpp"
+#include "tests/forged_checkpoint.hpp"
 
 namespace mtsr {
 namespace {
@@ -92,6 +94,61 @@ TEST(Serialize, SaveIsAtomic) {
   EXPECT_THROW(save_tensors(bad, tensors), std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(bad));
   EXPECT_FALSE(std::filesystem::exists(bad + ".tmp"));
+}
+
+// A size field larger than the file throws a runtime_error naming the
+// field before anything of that size is allocated.
+TEST(Serialize, ForgedSizeFieldsRejectedBeforeAllocating) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "mtsr_serialize_forged.bin")
+          .string();
+  for (const auto& forged : forged::checkpoints()) {
+    forged::write_bytes(path, forged.bytes);
+    try {
+      (void)load_tensors(path);
+      ADD_FAILURE() << forged.field << ": forged file loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(forged.field), std::string::npos)
+          << forged.field << ": " << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, OverflowingDimsRejectedOnStreams) {
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  for (const auto& dims : std::vector<std::vector<std::int64_t>>{
+           {max, 2}, {max / 4 + 1}, {1 << 30, 1 << 30, 1 << 30}}) {
+    std::stringstream in(forged::tensor_record(dims, 0));
+    EXPECT_THROW((void)read_tensor(in), std::runtime_error);
+  }
+}
+
+// A stream that cannot seek cannot report the bytes left; reads then grow
+// one bounded step at a time and a short payload still fails cleanly.
+TEST(Serialize, UnseekableStreamReadsInBoundedSteps) {
+  struct OneWayBuf : std::stringbuf {
+    using std::stringbuf::stringbuf;
+    pos_type seekoff(off_type, std::ios_base::seekdir,
+                     std::ios_base::openmode) override {
+      return pos_type(off_type(-1));
+    }
+  };
+  OneWayBuf forged(forged::tensor_record({std::int64_t{1} << 40}, 4));
+  std::istream in(&forged);
+  EXPECT_THROW((void)read_tensor(in), std::runtime_error);
+
+  Rng rng(11);
+  const Tensor t = Tensor::randn(Shape{3, 5}, rng);
+  std::stringstream out;
+  write_tensor(out, t);
+  OneWayBuf whole(out.str());
+  std::istream ok(&whole);
+  const Tensor back = read_tensor(ok);
+  ASSERT_EQ(back.shape(), t.shape());
+  for (std::int64_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(back.flat(i), t.flat(i));
+  }
 }
 
 }  // namespace
