@@ -11,56 +11,22 @@
 #include <cstring>
 #include <string>
 
-#include "src/common/parallel.hpp"
-#include "src/common/topology.hpp"
-
-#if __has_include("src/common/workspace.hpp")
-// Workspace builds retain conv lowering slices for a backward that never
-// comes in a forward-only bench loop; scope each iteration so the arena
-// stays at its steady-state high-water mark. (The guard keeps this file
-// compilable against the pre-workspace engine for interleaved comparisons.)
-#include "src/common/workspace.hpp"
-#define MTSR_BENCH_WS_SCOPE() \
-  mtsr::Workspace::Scope ws_scope(mtsr::Workspace::tls())
-#else
-#define MTSR_BENCH_WS_SCOPE() ((void)0)
-#endif
-
-#if __has_include("src/serving/engine.hpp")
-// Serving-engine scenarios (absent when this file is compiled against a
-// pre-serving tree for interleaved old-vs-new comparisons).
-#include "src/serving/engine.hpp"
-#include "src/serving/model.hpp"
-#define MTSR_HAS_SERVING 1
-#endif
-
-#if __has_include("src/tensor/quant.hpp")
-// int8 inference path (absent in pre-quantisation trees).
-#include "src/tensor/quant.hpp"
-#define MTSR_HAS_QUANT 1
-#endif
-
-#if __has_include("src/serving/scheduler.hpp")
-// Cross-session scheduler (absent in pre-scheduler trees).
-#include "src/serving/scheduler.hpp"
-#define MTSR_HAS_SCHEDULER 1
-#endif
-
-#if __has_include("src/nn/replica.hpp")
-// Data-parallel train-step machinery (absent in pre-replica trees).
-#include "src/core/gan_trainer.hpp"
-#include "src/data/milan.hpp"
-#include "src/nn/replica.hpp"
-#define MTSR_HAS_TRAIN_REPLICAS 1
-#endif
-
 #include "bench/bench_common.hpp"
 #include "src/baselines/bicubic.hpp"
+#include "src/common/parallel.hpp"
+#include "src/common/topology.hpp"
+#include "src/common/workspace.hpp"
+#include "src/core/gan_trainer.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/data/augmentation.hpp"
+#include "src/data/milan.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/conv3d.hpp"
 #include "src/nn/conv_transpose3d.hpp"
+#include "src/serving/engine.hpp"
+#include "src/serving/model.hpp"
+#include "src/serving/scheduler.hpp"
+#include "src/tensor/quant.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
 using namespace mtsr;
@@ -75,9 +41,7 @@ void BM_Matmul(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul(a, b));
   }
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
   state.SetLabel(matmul_kernel_name());
-#endif
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
@@ -93,15 +57,12 @@ void BM_WideLoweringGemm(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul(a, b));
   }
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
   state.SetLabel(matmul_kernel_name());
-#endif
   state.SetItemsProcessed(state.iterations() * 32 * 288 * n);
 }
 BENCHMARK(BM_WideLoweringGemm)->Arg(8192)->Arg(32768);
 
 
-#ifdef MTSR_HAS_QUANT
 // The quantised GEMM at the same logical product as BM_WideLoweringGemm
 // (32 output channels × 288 taps × n positions, A quantised, B packed s8
 // ONCE outside the loop — weights pack at model-load time in the serving
@@ -133,7 +94,6 @@ void BM_GemmU8S8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmU8S8)->Arg(8192)->Arg(32768);
 
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
 // Forced-level variants of BM_GemmU8S8 so the VNNI-vs-maddubs comparison
 // is interleaved in one binary regardless of what the production dispatch
 // selects. Skipped (not failed) on hosts without the level.
@@ -182,8 +142,6 @@ void BM_GemmU8S8ForcedVnniFullRange(benchmark::State& state) {
   gemm_u8s8_forced_bench(state, "vnni", /*full_range=*/true);
 }
 BENCHMARK(BM_GemmU8S8ForcedVnniFullRange)->Arg(8192)->Arg(32768);
-#endif  // MTSR_TENSOR_OPS_FORCED_KERNELS
-#endif  // MTSR_HAS_QUANT
 
 // Whole-batch conv forward: the batched im2col + one wide GEMM per step.
 void BM_Conv2dForwardBatched(benchmark::State& state) {
@@ -192,7 +150,7 @@ void BM_Conv2dForwardBatched(benchmark::State& state) {
   nn::Conv2d conv(16, 16, 3, 1, 1, rng);
   Tensor input = Tensor::randn(Shape{batch, 16, 20, 20}, rng);
   for (auto _ : state) {
-    MTSR_BENCH_WS_SCOPE();
+    Workspace::Scope ws_scope(Workspace::tls());
     benchmark::DoNotOptimize(conv.forward(input, false));
   }
 }
@@ -204,7 +162,7 @@ void BM_Conv2dForward(benchmark::State& state) {
   nn::Conv2d conv(8, 8, 3, 1, 1, rng);
   Tensor input = Tensor::randn(Shape{1, 8, side, side}, rng);
   for (auto _ : state) {
-    MTSR_BENCH_WS_SCOPE();
+    Workspace::Scope ws_scope(Workspace::tls());
     benchmark::DoNotOptimize(conv.forward(input, false));
   }
 }
@@ -216,7 +174,7 @@ void BM_Conv3dForward(benchmark::State& state) {
   nn::Conv3d conv(4, 4, {3, 3, 3}, {1, 1, 1}, {1, 1, 1}, rng);
   Tensor input = Tensor::randn(Shape{1, 4, 3, side, side}, rng);
   for (auto _ : state) {
-    MTSR_BENCH_WS_SCOPE();
+    Workspace::Scope ws_scope(Workspace::tls());
     benchmark::DoNotOptimize(conv.forward(input, false));
   }
 }
@@ -229,7 +187,7 @@ void BM_Deconv3dUpscale(benchmark::State& state) {
                              {1, factor, factor}, {1, 1, 1}, rng);
   Tensor input = Tensor::randn(Shape{1, 4, 3, 10, 10}, rng);
   for (auto _ : state) {
-    MTSR_BENCH_WS_SCOPE();
+    Workspace::Scope ws_scope(Workspace::tls());
     benchmark::DoNotOptimize(deconv.forward(input, false));
   }
 }
@@ -272,18 +230,12 @@ BENCHMARK(BM_ZipNetFullGridInference)
 //
 // The gateway workload of Section 6 at the paper's city scale: predictions
 // for consecutive test frames of several concurrent 100×100 streams, served
-// three ways over the same generator:
-//  * BM_ServeStatelessStitch — the serial predict_frame path as it existed
-//    before the serving engine (and still the public stitch API): every
-//    prediction re-derives each window's coarse history from the full
-//    frame, so each frame is normalised W·S times instead of once.
-//  * BM_ServePredictFrameSerial — today's predict_frame entry point (in a
-//    post-redesign tree, the forwarding shim over the engine).
-//  * BM_ServeEngine — engine sessions: rolling per-window aggregate cache,
-//    fixed sub-batching, and the double-buffered gather/GEMM overlap when
-//    the pool has workers to spare.
-// Keeping all three in one binary makes the comparison layout-fair: the
-// generator inner kernels are the same machine code for every scenario.
+// two ways over the same generator:
+//  * BM_ServePredictFrameSerial — the pipeline's predict_frame entry point,
+//    one engine session per pipeline, streams served one after another.
+//  * BM_ServeEngine — sessions of one engine: rolling per-window aggregate
+//    cache, fixed sub-batching, and the double-buffered gather/GEMM overlap
+//    when the pool has workers to spare.
 
 constexpr std::int64_t kServeSessions = 2;
 constexpr std::int64_t kServeFrames = 3;  // predictions per session
@@ -307,41 +259,10 @@ std::vector<data::TrafficDataset> serve_datasets(std::int64_t side) {
   return datasets;
 }
 
-void BM_ServeStatelessStitch(benchmark::State& state) {
-  const std::int64_t side = state.range(0);
-  const auto datasets = serve_datasets(side);
-  const core::PipelineConfig config = serve_config(side);
-  std::vector<std::unique_ptr<core::MtsrPipeline>> pipelines;
-  for (const auto& dataset : datasets) {
-    pipelines.push_back(
-        std::make_unique<core::MtsrPipeline>(config, dataset));
-  }
-  const std::int64_t s = config.temporal_length;
-  for (auto _ : state) {
-    for (std::int64_t t = s - 1; t < s - 1 + kServeFrames; ++t) {
-      for (std::size_t i = 0; i < pipelines.size(); ++i) {
-        // The pre-engine predict_frame body: stateless stitch over
-        // make_sample gathers, then denormalise.
-        core::MtsrPipeline& pipeline = *pipelines[i];
-        data::BatchWindowPredictor predictor = [&](const Tensor& batch) {
-          MTSR_BENCH_WS_SCOPE();
-          return pipeline.generator().forward(batch, /*training=*/false);
-        };
-        Tensor normalized = data::stitch_prediction_batched(
-            datasets[i], pipeline.window_layout(), predictor, t,
-            config.temporal_length, config.window, config.stitch_stride);
-        benchmark::DoNotOptimize(datasets[i].denormalize(normalized));
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * kServeSessions * kServeFrames);
-}
 // Serving benches report wall-clock as the primary time (UseRealTime):
 // once the pool spans multiple workers, cpu_time of the driving thread
 // stops measuring delivered throughput. cpu_time stays in the report
 // beside it, so single-core runs remain comparable with older recordings.
-BENCHMARK(BM_ServeStatelessStitch)->Arg(100)->UseRealTime()->Unit(benchmark::kMillisecond);
-
 void BM_ServePredictFrameSerial(benchmark::State& state) {
   const std::int64_t side = state.range(0);
   const auto datasets = serve_datasets(side);
@@ -364,7 +285,6 @@ void BM_ServePredictFrameSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ServePredictFrameSerial)->Arg(100)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-#ifdef MTSR_HAS_SERVING
 void BM_ServeEngine(benchmark::State& state) {
   const std::int64_t side = state.range(0);
   const auto datasets = serve_datasets(side);
@@ -399,7 +319,6 @@ void BM_ServeEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeEngine)->Arg(100)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-#ifdef MTSR_HAS_QUANT
 // The same multi-session workload served by the int8-quantised generator:
 // one-shot conversion outside the timed loop (weights pack once), then
 // "zipnet-int8" sessions through the identical engine/stitch path. The
@@ -443,9 +362,7 @@ void BM_ServeEngineInt8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kServeSessions * kServeFrames);
 }
 BENCHMARK(BM_ServeEngineInt8)->Arg(100)->UseRealTime()->Unit(benchmark::kMillisecond);
-#endif  // MTSR_HAS_QUANT
 
-#ifdef MTSR_HAS_SCHEDULER
 // ---- Scheduler: cross-session fusion + fan-out dedup ------------------------
 //
 // The scheduler_fusion acceptance scenario: aggregate throughput of N
@@ -584,20 +501,17 @@ BENCHMARK(BM_ServeIndependentDistinct)
     ->Arg(1)->Arg(4)->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-#endif  // MTSR_HAS_SCHEDULER
-#endif  // MTSR_HAS_SERVING
 
-#ifdef MTSR_HAS_TRAIN_REPLICAS
 // ---- Data-parallel training --------------------------------------------
 //
-// One GAN train step, serial vs replica-sharded, in the same binary so the
-// layer kernels are identical machine code. Arg is the replica worker
-// count: -1 is the retained legacy whole-batch serial step, >= 1 is the
-// sliced replicated step (1 replica isolates the slicing overhead; more
-// replicas add concurrency). Results are bit-identical across all >= 1
-// settings, so the curve is purely a scheduling comparison. Each iteration
-// runs several steps so the double-buffered input staging can overlap
-// batch assembly with step compute.
+// One GAN train step at each replica setting. Arg is the trainer's
+// `replicas` field: -1 runs the whole batch as one slice inline, >= 1 runs
+// the sliced step on that many workers (1 replica isolates the slicing
+// overhead; more replicas add concurrency). Results are bit-identical
+// across all >= 1 settings, so that part of the curve is purely a
+// scheduling comparison. Each iteration runs several steps so the
+// double-buffered input staging can overlap batch assembly with step
+// compute.
 
 constexpr int kTrainStepsPerIter = 4;
 
@@ -653,7 +567,7 @@ void BM_PretrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.pretrain(f.source, kTrainStepsPerIter));
   }
   state.SetItemsProcessed(state.iterations() * kTrainStepsPerIter);
-  state.SetLabel(replicas < 0 ? "legacy-serial"
+  state.SetLabel(replicas < 0 ? "whole-batch"
                               : "replicas=" + std::to_string(replicas));
 }
 BENCHMARK(BM_PretrainStep)
@@ -678,14 +592,13 @@ void BM_TrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(trainer.train(f.source, kTrainStepsPerIter / 2));
   }
   state.SetItemsProcessed(state.iterations() * kTrainStepsPerIter);
-  state.SetLabel(replicas < 0 ? "legacy-serial"
+  state.SetLabel(replicas < 0 ? "whole-batch"
                               : "replicas=" + std::to_string(replicas));
 }
 BENCHMARK(BM_TrainStep)
     ->Arg(-1)->Arg(1)->Arg(2)->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-#endif  // MTSR_HAS_TRAIN_REPLICAS
 
 // Probe aggregation (the gateway-side cost of producing model input).
 void BM_ProbeAggregation(benchmark::State& state) {
@@ -761,10 +674,8 @@ int main(int argc, char** argv) {
   std::printf("pool: %d workers in %d shard%s on %s\n", mtsr::num_threads(),
               mtsr::num_shards(), mtsr::num_shards() == 1 ? "" : "s",
               mtsr::Topology::instance().summary().c_str());
-#ifdef MTSR_TENSOR_OPS_FORCED_KERNELS
   std::printf("float kernel: %s | int8 kernel: %s\n", matmul_kernel_name(),
               gemm_u8s8_kernel_name());
-#endif
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -82,7 +82,6 @@ void Srcnn::fit(const std::vector<Tensor>& fine_frames,
   network_->emplace<nn::Conv2d>(config_.channels2, 1, 5, 1, 2, rng);
 
   nn::Adam optimizer(network_->parameters(), config_.learning_rate);
-  const int replicas = nn::resolve_train_replicas(config_.replicas);
   const std::int64_t w = config_.window;
   const std::int64_t rows = fine_frames.front().dim(0);
   const std::int64_t cols = fine_frames.front().dim(1);
@@ -107,56 +106,42 @@ void Srcnn::fit(const std::vector<Tensor>& fine_frames,
         xs.push_back(crop2d(mids[f], r0, c0, w, w).reshape(Shape{1, w, w}));
         ys.push_back(crop2d(targets[f], r0, c0, w, w).reshape(Shape{1, w, w}));
       }
-      double loss = 0.0;
-      if (replicas == 0) {
-        Tensor x = stack0(xs);  // (bs, 1, w, w)
-        Tensor y = stack0(ys);
-        // Step-scoped workspace: the conv layers' lowering slices are
-        // rewound by backward; the scope reclaims any remainder so the
-        // arena stops growing after the first step.
-        Workspace::Scope ws_step(Workspace::tls());
-        Tensor pred = network_->forward(x, /*training=*/true);
-        auto [step_loss, grad] = nn::mse_loss(pred, y);
-        optimizer.zero_grad();
-        network_->backward(grad);
-        optimizer.step();
-        loss = step_loss;
-      } else {
-        // Replica-sharded step: micro-slices of the crop batch run
-        // concurrently under slice-private gradient slots, reduced in
-        // ascending slice order — bit-identical for any replica count.
-        const int slices = nn::train_slice_count(bs);
-        std::vector<Tensor> x_slices, y_slices;
-        x_slices.reserve(static_cast<std::size_t>(slices));
-        y_slices.reserve(static_cast<std::size_t>(slices));
-        std::int64_t total_elements = 0;
-        for (int s = 0; s < slices; ++s) {
-          const nn::SliceRange range = nn::train_slice_range(bs, slices, s);
-          std::vector<Tensor> xs_s(xs.begin() + range.begin,
-                                   xs.begin() + range.end);
-          std::vector<Tensor> ys_s(ys.begin() + range.begin,
-                                   ys.begin() + range.end);
-          x_slices.push_back(stack0(xs_s));
-          y_slices.push_back(stack0(ys_s));
-          total_elements += y_slices.back().size();
-        }
-        optimizer.zero_grad();
-        network_->prepare_replica_slots(slices);
-        std::vector<double> partial(static_cast<std::size_t>(slices), 0.0);
-        nn::run_replicated(slices, replicas, [&](int s) {
-          const auto si = static_cast<std::size_t>(s);
-          Tensor pred = network_->forward(x_slices[si], /*training=*/true);
-          nn::SliceLossResult slice =
-              nn::mse_loss_slice(pred, y_slices[si], total_elements);
-          network_->backward(slice.grad);
-          partial[si] = slice.sum;
-        });
-        network_->reduce_replica_slots(slices);
-        optimizer.step();
-        double sum = 0.0;
-        for (double p : partial) sum += p;
-        loss = sum / static_cast<double>(total_elements);
+      // Micro-slices of the crop batch run on replica workers under
+      // slice-private gradient slots, reduced in ascending slice order —
+      // bit-identical for any replica count.
+      const nn::TrainSplit split =
+          nn::resolve_train_split(config_.replicas, bs);
+      const int slices = split.slices;
+      std::vector<Tensor> x_slices, y_slices;
+      x_slices.reserve(static_cast<std::size_t>(slices));
+      y_slices.reserve(static_cast<std::size_t>(slices));
+      std::int64_t total_elements = 0;
+      for (int s = 0; s < slices; ++s) {
+        const nn::SliceRange range = nn::train_slice_range(bs, slices, s);
+        std::vector<Tensor> xs_s(xs.begin() + range.begin,
+                                 xs.begin() + range.end);
+        std::vector<Tensor> ys_s(ys.begin() + range.begin,
+                                 ys.begin() + range.end);
+        x_slices.push_back(stack0(xs_s));
+        y_slices.push_back(stack0(ys_s));
+        total_elements += y_slices.back().size();
       }
+      optimizer.zero_grad();
+      network_->prepare_replica_slots(slices);
+      std::vector<double> partial(static_cast<std::size_t>(slices), 0.0);
+      nn::run_replicated(slices, split.workers, [&](int s) {
+        const auto si = static_cast<std::size_t>(s);
+        Tensor pred = network_->forward(x_slices[si], /*training=*/true);
+        nn::SliceLossResult slice =
+            nn::mse_loss_slice(pred, y_slices[si], total_elements);
+        network_->backward(slice.grad);
+        partial[si] = slice.sum;
+      });
+      network_->reduce_replica_slots(slices);
+      optimizer.step();
+      double sum = 0.0;
+      for (double p : partial) sum += p;
+      const double loss = sum / static_cast<double>(total_elements);
       epoch_loss += loss;
       ++batches;
     }

@@ -27,11 +27,11 @@ struct SrcnnConfig {
   int crops_per_epoch = 48;
   float learning_rate = 5e-4f;
   std::uint64_t seed = 17;
-  /// Data-parallel replica workers per train step: -1 forces the legacy
-  /// whole-batch serial step, 0 resolves automatically (MTSR_TRAIN_REPLICAS,
-  /// else one replica per pool shard, minimum 1 — auto never picks legacy),
+  /// Data-parallel replica workers per train step: -1 runs the whole crop
+  /// batch as one slice inline, 0 resolves automatically
+  /// (MTSR_TRAIN_REPLICAS, else one replica per pool shard, minimum 1),
   /// >= 1 forces that many workers. Results are bit-identical across
-  /// settings >= 1 (see nn/replica.hpp).
+  /// settings >= 1 (see nn::resolve_train_split).
   int replicas = 0;
 };
 

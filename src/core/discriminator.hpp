@@ -35,9 +35,6 @@ class Discriminator final : public nn::Layer {
   void reduce_replica_slots(int count) override;
   [[nodiscard]] std::string name() const override;
 
-  /// Layer stack and hyper-parameters, read by the int8 conversion
-  /// (DiscriminatorInt8), which mirrors the network block by block.
-  [[nodiscard]] const nn::Sequential& network() const { return *network_; }
   [[nodiscard]] const DiscriminatorConfig& config() const { return config_; }
 
  private:

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/check.hpp"
-#include "src/common/workspace.hpp"
 #include "src/nn/loss.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
@@ -28,7 +27,7 @@ GanTrainer::GanTrainer(ZipNet& generator, Discriminator& discriminator,
       discriminator_(discriminator),
       config_(config),
       rng_(config.seed),
-      replicas_(nn::resolve_train_replicas(config.replicas)),
+      split_(nn::resolve_train_split(config.replicas, config.batch_size)),
       opt_g_(generator.parameters(), config.learning_rate),
       opt_d_(discriminator.parameters(), config.learning_rate) {
   check(config_.batch_size > 0, "GanTrainerConfig: bad batch size");
@@ -52,10 +51,6 @@ void GanTrainer::clip_critic_weights() {
   }
 }
 
-int GanTrainer::slice_count() const {
-  return replicas_ == 0 ? 1 : nn::train_slice_count(config_.batch_size);
-}
-
 GanTrainer::Batch GanTrainer::build_batch(const SampleSource& source,
                                           std::uint64_t base_counter) {
   const std::int64_t m = config_.batch_size;
@@ -71,7 +66,7 @@ GanTrainer::Batch GanTrainer::build_batch(const SampleSource& source,
     inputs.push_back(std::move(sample.input));
     targets.push_back(std::move(sample.target));
   }
-  const int slices = slice_count();
+  const int slices = split_.slices;
   Batch batch;
   batch.rows = m;
   batch.inputs.reserve(static_cast<std::size_t>(slices));
@@ -120,36 +115,18 @@ std::vector<double> GanTrainer::pretrain(const SampleSource& source,
   for (int step = 0; step < steps; ++step) {
     Batch batch = take_staged();
     if (step + 1 < steps) stage_batch(source);  // overlap with compute
-    if (replicas_ == 0) {
-      losses.push_back(pretrain_step_legacy(batch.inputs[0], batch.targets[0]));
-    } else {
-      losses.push_back(pretrain_step_replicated(batch));
-    }
+    losses.push_back(pretrain_step(batch));
   }
   return losses;
 }
 
-double GanTrainer::pretrain_step_legacy(const Tensor& inputs,
-                                        const Tensor& targets) {
-  // Step-scoped workspace: backward rewinds what forward retained, and
-  // the scope reclaims anything left, so the arena stops growing after
-  // the first step.
-  Workspace::Scope ws_step(Workspace::tls());
-  Tensor pred = generator_.forward(inputs, /*training=*/true);
-  auto [loss, grad] = nn::mse_loss(pred, targets);
-  opt_g_.zero_grad();
-  generator_.backward(grad);
-  opt_g_.step();
-  return loss;
-}
-
-double GanTrainer::pretrain_step_replicated(const Batch& batch) {
+double GanTrainer::pretrain_step(const Batch& batch) {
   const int slices = static_cast<int>(batch.inputs.size());
   opt_g_.zero_grad();
   generator_.prepare_replica_slots(slices);
   std::vector<double> partial(static_cast<std::size_t>(slices), 0.0);
   nn::run_replicated(
-      slices, replicas_,
+      slices, split_.workers,
       [&](int s) {
         const auto si = static_cast<std::size_t>(s);
         Tensor pred = generator_.forward(batch.inputs[si], /*training=*/true);
@@ -170,32 +147,7 @@ double GanTrainer::pretrain_step_replicated(const Batch& batch) {
 // Phase 2: discriminator sub-epoch.
 // ---------------------------------------------------------------------------
 
-double GanTrainer::train_discriminator_step_legacy(const Tensor& inputs,
-                                                   const Tensor& targets,
-                                                   GanRoundStats& stats) {
-  // Step-scoped workspace: reclaims the generator's inference-pass slices
-  // (no backward runs through it in the D sub-epoch).
-  Workspace::Scope ws_step(Workspace::tls());
-  // Real half: maximise log D(real) <=> minimise BCE(D(real), 1).
-  opt_d_.zero_grad();
-  Tensor p_real = discriminator_.forward(targets, /*training=*/true);
-  auto [loss_real, grad_real] = nn::bce_loss(p_real, 1.f);
-  discriminator_.backward(grad_real);
-
-  // Fake half: minimise BCE(D(G(F)), 0). The generator runs in inference
-  // mode here — its parameters are fixed during the D sub-epoch.
-  Tensor fake = generator_.forward(inputs, /*training=*/false);
-  Tensor p_fake = discriminator_.forward(fake, /*training=*/true);
-  auto [loss_fake, grad_fake] = nn::bce_loss(p_fake, 0.f);
-  discriminator_.backward(grad_fake);
-  opt_d_.step();
-
-  stats.d_real_prob = p_real.mean();
-  stats.d_fake_prob = p_fake.mean();
-  return loss_real + loss_fake;
-}
-
-double GanTrainer::train_discriminator_step_replicated(const Batch& batch,
+double GanTrainer::train_discriminator_step(const Batch& batch,
                                                        GanRoundStats& stats) {
   const int slices = static_cast<int>(batch.inputs.size());
   struct Part {
@@ -207,7 +159,7 @@ double GanTrainer::train_discriminator_step_replicated(const Batch& batch,
   discriminator_.prepare_replica_slots(slices);
   generator_.prepare_replica_slots(slices);  // inference forwards per slot
   nn::run_replicated(
-      slices, replicas_,
+      slices, split_.workers,
       [&](int s) {
         const auto si = static_cast<std::size_t>(s);
         Part part;
@@ -254,100 +206,7 @@ double GanTrainer::train_discriminator_step_replicated(const Batch& batch,
 // Phase 2: generator sub-epoch.
 // ---------------------------------------------------------------------------
 
-double GanTrainer::train_generator_step_legacy(const Tensor& inputs,
-                                               const Tensor& targets,
-                                               GanRoundStats& stats) {
-  Workspace::Scope ws_step(Workspace::tls());
-  const std::int64_t n = inputs.dim(0);
-
-  Tensor pred = generator_.forward(inputs, /*training=*/true);
-  Tensor probs = discriminator_.forward(pred, /*training=*/true);  // (N, 1)
-
-  // Per-sample quantities of Eq. 9 / Eq. 8.
-  Tensor sq_err = nn::per_sample_sq_error(pred, targets);  // (N)
-  const float clamp_lo = config_.prob_clamp;
-  const float clamp_hi = 1.f - config_.prob_clamp;
-
-  // Gradient of the loss w.r.t. D's output, fed backwards through D to
-  // reach the generator's output (D's own parameter gradients are discarded
-  // at its next zero_grad()).
-  Tensor grad_probs(Shape{n, 1});
-  // Per-sample multiplier for the MSE part of the gradient.
-  std::vector<float> mse_scale(static_cast<std::size_t>(n));
-
-  // Per-sample terms are independent: the chunk body fills the disjoint
-  // grad/scale entries and returns the chunk's (loss, mse) partial, which
-  // reduces deterministically in slot order.
-  using Terms = std::pair<double, double>;  // (loss, mse)
-  auto [loss, mse_term] = parallel_reduce(
-      n, Terms{0.0, 0.0},
-      [&](std::int64_t begin, std::int64_t end) {
-        Terms acc{0.0, 0.0};
-        for (std::int64_t i = begin; i < end; ++i) {
-          const float di = std::clamp(probs.flat(i), clamp_lo, clamp_hi);
-          const float se = sq_err.flat(i);
-          switch (config_.loss_mode) {
-            case LossMode::kEmpirical: {
-              // L_i = (1 − 2 log d_i) · ‖e_i‖²
-              const float a = 1.f - 2.f * std::log(di);
-              acc.first += static_cast<double>(a) * se;
-              mse_scale[static_cast<std::size_t>(i)] =
-                  a / static_cast<float>(n);
-              grad_probs.flat(i) =
-                  (-2.f / di) * se / static_cast<float>(n);
-              break;
-            }
-            case LossMode::kFixedSigma: {
-              // L_i = ‖e_i‖² − 2σ² log d_i
-              acc.first += static_cast<double>(se) -
-                           2.0 * config_.sigma2 *
-                               std::log(static_cast<double>(di));
-              mse_scale[static_cast<std::size_t>(i)] =
-                  1.f / static_cast<float>(n);
-              grad_probs.flat(i) =
-                  (-2.f * config_.sigma2 / di) / static_cast<float>(n);
-              break;
-            }
-          }
-          acc.second += se;
-        }
-        return acc;
-      },
-      [](Terms a, Terms b) {
-        return Terms{a.first + b.first, a.second + b.second};
-      });
-  loss /= static_cast<double>(n);
-  // Telemetry reports the per-element MSE so it is directly comparable with
-  // the pre-training loss (Eq. 10); the loss itself keeps Eq. 9's
-  // per-sample ‖·‖² convention.
-  mse_term /= static_cast<double>(pred.size());
-
-  // Adversarial path: d(loss)/d(pred) through the discriminator.
-  opt_g_.zero_grad();
-  opt_d_.zero_grad();  // absorbs the unused D-parameter gradients
-  Tensor grad_pred = discriminator_.backward(grad_probs);  // (N, h, w)
-
-  // Data path: d/d(pred) of the per-sample weighted squared error.
-  const std::int64_t inner = pred.size() / n;
-  float* pgp = grad_pred.data();
-  const float* pp = pred.data();
-  const float* pt = targets.data();
-  parallel_for(n, [&](std::int64_t i) {
-    const float scale = 2.f * mse_scale[static_cast<std::size_t>(i)];
-    for (std::int64_t j = 0; j < inner; ++j) {
-      const std::int64_t off = i * inner + j;
-      pgp[off] += scale * (pp[off] - pt[off]);
-    }
-  });
-
-  generator_.backward(grad_pred);
-  opt_g_.step();
-
-  stats.g_mse = mse_term;
-  return loss;
-}
-
-double GanTrainer::train_generator_step_replicated(const Batch& batch,
+double GanTrainer::train_generator_step(const Batch& batch,
                                                    GanRoundStats& stats) {
   const int slices = static_cast<int>(batch.inputs.size());
   const std::int64_t n = batch.rows;  // FULL batch denominator everywhere
@@ -363,7 +222,7 @@ double GanTrainer::train_generator_step_replicated(const Batch& batch,
   generator_.prepare_replica_slots(slices);
   discriminator_.prepare_replica_slots(slices);
   nn::run_replicated(
-      slices, replicas_,
+      slices, split_.workers,
       [&](int s) {
         const auto si = static_cast<std::size_t>(s);
         const Tensor& inputs = batch.inputs[si];
@@ -423,8 +282,8 @@ double GanTrainer::train_generator_step_replicated(const Batch& batch,
       &last_arena_stats_);
   generator_.reduce_replica_slots(slices);
   // D's slice slots must drain too: the folded gradients land in D's main
-  // accumulators (discarded by the next D-step zero_grad, exactly like the
-  // legacy path) and its deferred batch-norm statistics get their update.
+  // accumulators (discarded by the next D-step zero_grad) and its deferred
+  // batch-norm statistics get their update.
   discriminator_.reduce_replica_slots(slices);
   opt_g_.step();
 
@@ -455,7 +314,7 @@ std::vector<GanRoundStats> GanTrainer::train(const SampleSource& source,
   if (rounds == 0) return history;
 
   // WGAN-style critic schedule: critic_iters multiplies the discriminator
-  // sub-epochs per round (1 = the legacy schedule, bit-identical).
+  // sub-epochs per round (1 = Algorithm 1's n_D).
   const int d_steps = config_.n_d * config_.critic_iters;
   const std::int64_t total_batches =
       static_cast<std::int64_t>(rounds) * (d_steps + config_.n_g);
@@ -473,24 +332,14 @@ std::vector<GanRoundStats> GanTrainer::train(const SampleSource& source,
     double d_loss = 0.0;
     for (int e = 0; e < d_steps; ++e) {
       Batch batch = next_batch();
-      if (replicas_ == 0) {
-        d_loss += train_discriminator_step_legacy(batch.inputs[0],
-                                                  batch.targets[0], stats);
-      } else {
-        d_loss += train_discriminator_step_replicated(batch, stats);
-      }
+      d_loss += train_discriminator_step(batch, stats);
       clip_critic_weights();
     }
     stats.d_loss = d_loss / d_steps;
     double g_loss = 0.0;
     for (int e = 0; e < config_.n_g; ++e) {
       Batch batch = next_batch();
-      if (replicas_ == 0) {
-        g_loss += train_generator_step_legacy(batch.inputs[0],
-                                              batch.targets[0], stats);
-      } else {
-        g_loss += train_generator_step_replicated(batch, stats);
-      }
+      g_loss += train_generator_step(batch, stats);
     }
     stats.g_loss = g_loss / config_.n_g;
     history.push_back(stats);

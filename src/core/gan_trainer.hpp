@@ -14,16 +14,17 @@
 //    which replaces the fixed σ² trade-off of Eq. 8. Eq. 8 is also
 //    implemented (LossMode::kFixedSigma) for the stability ablation bench.
 //
-// Execution: the trainer runs data-parallel by default on sharded pools.
-// Each step splits the batch into micro-slices (geometry pure in the batch
-// size — see nn/replica.hpp), runs slice forwards/backwards concurrently on
-// replica workers under slice-private gradient slots, and reduces in fixed
-// ascending-slice order, so trained parameters are bit-identical for every
-// replica count and pool size. Batch sampling + augmentation are staged on
-// a dedicated input-pipeline thread, overlapping the next batch's assembly
-// with the current step's compute. Sampling draws from counter-derived RNG
-// streams (one per sample), never from a shared engine, so the sample
-// sequence is independent of staging and replica scheduling.
+// Execution: every step of every phase runs one path. The batch splits
+// into micro-slices (geometry pure in the batch size — see nn/replica.hpp),
+// slice forwards/backwards run on replica workers under slice-private
+// gradient slots, and the slots reduce in fixed ascending-slice order, so
+// trained parameters are bit-identical for every replica count and pool
+// size. `replicas = -1` makes the whole batch one slice, run inline on the
+// calling thread. Batch sampling + augmentation are staged on a dedicated
+// input-pipeline thread, overlapping the next batch's assembly with the
+// current step's compute. Sampling draws from counter-derived RNG streams
+// (one per sample), never from a shared engine, so the sample sequence is
+// independent of staging and replica scheduling.
 #pragma once
 
 #include <functional>
@@ -67,8 +68,8 @@ struct GanTrainerConfig {
   /// weight_clipping idiom of Wasserstein training loops). Online
   /// fine-tuning stresses GAN stability far harder than one-shot offline
   /// training, so both knobs exist as an ablation flag for the continuous
-  /// learner; at their defaults the training path is bit-identical to the
-  /// legacy trainer. `critic_iters` multiplies the discriminator sub-epochs
+  /// learner; their defaults leave Algorithm 1 as written. `critic_iters`
+  /// multiplies the discriminator sub-epochs
   /// per round (the critic trains critic_iters × n_D steps before each
   /// generator update); `weight_clip > 0` clamps every discriminator
   /// parameter to [-weight_clip, +weight_clip] after each critic step,
@@ -78,11 +79,11 @@ struct GanTrainerConfig {
   int critic_iters = 1;
   float weight_clip = 0.f;
   std::uint64_t seed = 23;
-  /// Data-parallel replica workers per train step: -1 forces the legacy
-  /// whole-batch serial step, 0 resolves automatically (MTSR_TRAIN_REPLICAS,
-  /// else one replica per pool shard, minimum 1 — auto never picks legacy,
-  /// keeping results independent of pool geometry), >= 1 forces that many
-  /// workers. See nn::resolve_train_replicas.
+  /// Data-parallel replica workers per train step: -1 runs the whole batch
+  /// as one slice inline on the calling thread, 0 resolves automatically
+  /// (MTSR_TRAIN_REPLICAS, else one replica per pool shard, minimum 1 —
+  /// results independent of pool geometry), >= 1 forces that many workers.
+  /// See nn::resolve_train_split.
   int replicas = 0;
 };
 
@@ -115,20 +116,16 @@ class GanTrainer {
 
   [[nodiscard]] const GanTrainerConfig& config() const { return config_; }
 
-  /// Resolved replica worker count: 0 = legacy whole-batch serial step.
-  [[nodiscard]] int replica_workers() const { return replicas_; }
-
-  /// Per-worker thread-local arena telemetry from the most recent
-  /// replicated step (empty in legacy mode). Steady-state training must
-  /// show zero growth_events across steps once warmed up.
+  /// Per-worker thread-local arena telemetry from the most recent step.
+  /// Steady-state training must show zero growth_events across steps once
+  /// warmed up.
   [[nodiscard]] const std::vector<nn::ReplicaArenaStats>&
   replica_arena_stats() const {
     return last_arena_stats_;
   }
 
  private:
-  /// A sampled batch, pre-split into the step's micro-slices (a single
-  /// slice in legacy mode).
+  /// A sampled batch, pre-split into the step's micro-slices.
   struct Batch {
     std::vector<Tensor> inputs;   ///< per slice: (m_s, S, ci, ci)
     std::vector<Tensor> targets;  ///< per slice: (m_s, h, w)
@@ -136,7 +133,6 @@ class GanTrainer {
     std::int64_t target_elements = 0;  ///< m*h*w, summed over slices
   };
 
-  [[nodiscard]] int slice_count() const;
   /// WGAN weight clipping: clamps every discriminator parameter to
   /// [-weight_clip, +weight_clip] (no-op at the default 0).
   void clip_critic_weights();
@@ -145,22 +141,10 @@ class GanTrainer {
   void stage_batch(const SampleSource& source);
   [[nodiscard]] Batch take_staged();
 
-  // Legacy whole-batch serial steps (config replicas == -1 only):
-  // bit-identical to the original single-threaded trainer.
-  double pretrain_step_legacy(const Tensor& inputs, const Tensor& targets);
-  double train_discriminator_step_legacy(const Tensor& inputs,
-                                         const Tensor& targets,
-                                         GanRoundStats& stats);
-  double train_generator_step_legacy(const Tensor& inputs,
-                                     const Tensor& targets,
-                                     GanRoundStats& stats);
-
-  // Replica-sharded steps: slice fan-out + fixed-order reduction.
-  double pretrain_step_replicated(const Batch& batch);
-  double train_discriminator_step_replicated(const Batch& batch,
-                                             GanRoundStats& stats);
-  double train_generator_step_replicated(const Batch& batch,
-                                         GanRoundStats& stats);
+  // One step per phase: slice fan-out + fixed-order reduction.
+  double pretrain_step(const Batch& batch);
+  double train_discriminator_step(const Batch& batch, GanRoundStats& stats);
+  double train_generator_step(const Batch& batch, GanRoundStats& stats);
 
   ZipNet& generator_;
   Discriminator& discriminator_;
@@ -168,7 +152,7 @@ class GanTrainer {
   /// Stream base only — no draws; sample k uses rng_.stream(k).
   Rng rng_;
   std::uint64_t sample_counter_ = 0;
-  int replicas_;
+  nn::TrainSplit split_;
   nn::Adam opt_g_;
   nn::Adam opt_d_;
 

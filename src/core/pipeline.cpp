@@ -104,9 +104,6 @@ void MtsrPipeline::ensure_serving() {
       "zipnet", config_.instance, dataset_, config_.window,
       std::max<std::int64_t>(stride, 1));
   session.layout = window_layout_.get();
-  // Bit-identity with the pre-engine predict_frame: the legacy block keeps
-  // the pool-scaled sub-batch shapes the old stitcher produced.
-  session.block = serving::SessionConfig::kLegacyBlock;
   session_ = engine_->open_session(std::move(session));
 }
 

@@ -48,11 +48,12 @@ class MtsrPipeline {
   /// Full-grid prediction for frame `t` (raw MB), stitched from overlapping
   /// windows with the moving-average filter.
   ///
-  /// Forwarding shim over the serving engine: the frames [t-S+1, t] are
-  /// streamed into an internal session configured for bit-identical outputs
-  /// to the pre-engine implementation (legacy pool-scaled sub-batching).
-  /// Consecutive calls (t, t+1, ...) reuse the session's rolling window
-  /// cache, so sweeps like evaluate() skip re-aggregating shared history.
+  /// Served by the engine: the frames [t-S+1, t] are streamed into an
+  /// internal session at the default block, so the result is bitwise what
+  /// any default-block session over the same frames returns, at every pool
+  /// size. Consecutive calls (t, t+1, ...) reuse the session's rolling
+  /// window cache, so sweeps like evaluate() skip re-aggregating shared
+  /// history.
   [[nodiscard]] Tensor predict_frame(std::int64_t t);
 
   /// Evaluates stitched predictions against ground truth over up to
@@ -63,7 +64,8 @@ class MtsrPipeline {
   [[nodiscard]] SampleSource make_sample_source(data::SplitRange range) const;
 
   /// Checkpointing: persists / restores the trained generator, so a model
-  /// trained offline can be shipped to a gateway (cf. StreamingInferencer).
+  /// trained offline can be shipped to a gateway and served by an Engine
+  /// (serving::ZipNetModel::load_checkpoint reads the same file).
   /// load_generator requires an architecture-identical pipeline config.
   void save_generator(const std::string& path);
   void load_generator(const std::string& path);

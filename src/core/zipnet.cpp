@@ -194,7 +194,7 @@ void add_residual_base(Tensor& result, const Tensor& latest,
     Workspace::Scope scratch(ws);
     float* up = ws.alloc(result.size());
     upsample_nearest2d_into(latest.data(), n, latest.dim(1), latest.dim(2),
-                            factor, 1.f, up);
+                            factor, up);
     float* dst = result.data();
     for (std::int64_t i = 0; i < result.size(); ++i) dst[i] += up[i];
   } else {

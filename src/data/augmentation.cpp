@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.hpp"
-#include "src/common/parallel.hpp"
-#include "src/common/workspace.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
 namespace mtsr::data {
@@ -24,20 +22,17 @@ std::vector<std::int64_t> stitch_origins(std::int64_t extent,
   return origins;
 }
 
-std::int64_t legacy_stitch_block() {
-  return std::max<std::int64_t>(2, 2 * static_cast<std::int64_t>(num_threads()));
-}
-
 StitchPlan make_stitch_plan(std::int64_t rows, std::int64_t cols,
                             std::int64_t window, std::int64_t stride,
                             std::int64_t block) {
+  check(block > 0, "make_stitch_plan: block must be positive");
   StitchPlan plan;
   plan.row_origins = stitch_origins(rows, window, stride);
   plan.col_origins = stitch_origins(cols, window, stride);
   plan.rows = rows;
   plan.cols = cols;
   plan.window = window;
-  plan.block = block > 0 ? block : legacy_stitch_block();
+  plan.block = block;
   return plan;
 }
 
@@ -136,87 +131,6 @@ Sample make_sample(const TrafficDataset& dataset,
   sample.target = crop2d(dataset.normalized_frame(spec.t), spec.r0, spec.c0,
                          window, window);
   return sample;
-}
-
-Tensor stitch_prediction(const TrafficDataset& dataset,
-                         const ProbeLayout& window_layout,
-                         const WindowPredictor& predictor, std::int64_t t,
-                         std::int64_t temporal_length, std::int64_t window,
-                         std::int64_t stride) {
-  const std::int64_t rows = dataset.rows(), cols = dataset.cols();
-  check(window <= rows && window <= cols, "stitch_prediction: window too big");
-  const auto row_origins = stitch_origins(rows, window, stride);
-  const auto col_origins = stitch_origins(cols, window, stride);
-
-  Tensor acc(Shape{rows, cols});
-  Tensor weight(Shape{rows, cols});
-  for (std::int64_t r0 : row_origins) {
-    for (std::int64_t c0 : col_origins) {
-      const Sample sample = make_sample(dataset, window_layout,
-                                        {t, r0, c0}, temporal_length, window);
-      // Scoped per window: whatever arena memory the predictor's layers
-      // retain is reclaimed before the next window.
-      Workspace::Scope ws_scope(Workspace::tls());
-      Tensor pred = predictor(sample.input);
-      check(pred.rank() == 2 && pred.dim(0) == window && pred.dim(1) == window,
-            "stitch_prediction: predictor returned wrong shape");
-      for (std::int64_t r = 0; r < window; ++r) {
-        for (std::int64_t c = 0; c < window; ++c) {
-          acc.at(r0 + r, c0 + c) += pred.at(r, c);
-          weight.at(r0 + r, c0 + c) += 1.f;
-        }
-      }
-    }
-  }
-  for (std::int64_t i = 0; i < acc.size(); ++i) {
-    check_internal(weight.flat(i) > 0.f,
-                   "stitch_prediction left uncovered cells");
-    acc.flat(i) /= weight.flat(i);
-  }
-  return acc;
-}
-
-Tensor stitch_prediction_batched(const TrafficDataset& dataset,
-                                 const ProbeLayout& window_layout,
-                                 const BatchWindowPredictor& predictor,
-                                 std::int64_t t, std::int64_t temporal_length,
-                                 std::int64_t window, std::int64_t stride) {
-  const std::int64_t rows = dataset.rows(), cols = dataset.cols();
-  check(window <= rows && window <= cols,
-        "stitch_prediction_batched: window too big");
-  // The legacy pool-scaled sub-batch keeps every worker's GEMM rows full
-  // while the lowered column matrices stay cache-resident and bounded (a
-  // paper-scale 100×100 grid has 441 windows; lowering them all at once
-  // would allocate gigabytes).
-  const StitchPlan plan = make_stitch_plan(rows, cols, window, stride);
-  const std::int64_t n_windows = plan.window_count();
-
-  Tensor acc(Shape{rows, cols});
-  Tensor weight(Shape{rows, cols});
-  for (std::int64_t b0 = 0; b0 < n_windows; b0 += plan.block) {
-    const std::int64_t b1 = std::min(n_windows, b0 + plan.block);
-
-    // Gather this block's coarse input sequences (windows are independent).
-    std::vector<Tensor> inputs(static_cast<std::size_t>(b1 - b0));
-    parallel_for(b1 - b0, [&](std::int64_t j) {
-      const std::int64_t i = b0 + j;
-      inputs[static_cast<std::size_t>(j)] =
-          make_sample(dataset, window_layout,
-                      {t, plan.row_origin(i), plan.col_origin(i)},
-                      temporal_length, window)
-              .input;
-    });
-
-    // One whole-batch pass through the predictor per block, scoped so any
-    // arena memory the predictor's layers retain is reclaimed per block.
-    Workspace::Scope ws_scope(Workspace::tls());
-    Tensor preds = predictor(stack0(inputs));  // (b1-b0, w, w)
-    check(preds.rank() == 3 && preds.dim(0) == b1 - b0,
-          "stitch_prediction_batched: predictor returned wrong shape");
-    stitch_accumulate(plan, preds, b0, acc, weight);
-  }
-  stitch_finalize(acc, weight);
-  return acc;
 }
 
 }  // namespace mtsr::data

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/data/dataset.hpp"
@@ -62,40 +61,12 @@ struct Sample {
                                  std::int64_t temporal_length,
                                  std::int64_t window);
 
-/// Predictor signature used for stitching: maps one coarse window sequence
-/// (S, ci, ci) to a fine window prediction (w, w), all in normalised units.
-using WindowPredictor = std::function<Tensor(const Tensor&)>;
-
-/// Reconstructs a full-grid prediction for frame `t` by sliding the window
-/// across the grid at `stride` (windows are clamped to the grid boundary so
-/// edges are always covered) and averaging overlapping predictions — the
-/// paper's moving-average filter. Returns a normalised (rows, cols) tensor.
-[[nodiscard]] Tensor stitch_prediction(const TrafficDataset& dataset,
-                                       const ProbeLayout& window_layout,
-                                       const WindowPredictor& predictor,
-                                       std::int64_t t,
-                                       std::int64_t temporal_length,
-                                       std::int64_t window,
-                                       std::int64_t stride);
-
-/// Batched predictor signature: maps ALL coarse window sequences at once,
-/// (W, S, ci, ci) -> (W, w, w), so the network underneath runs one
-/// whole-batch lowered pass instead of W per-window passes.
-using BatchWindowPredictor = std::function<Tensor(const Tensor&)>;
-
 /// Window origins along one axis: multiples of `stride`, with a final
 /// origin clamped to the boundary so the whole extent is covered even when
 /// stride does not divide (extent - window).
 [[nodiscard]] std::vector<std::int64_t> stitch_origins(std::int64_t extent,
                                                        std::int64_t window,
                                                        std::int64_t stride);
-
-/// The pool-scaled sub-batch size stitch_prediction_batched has always
-/// used: enough windows per generator pass to keep every worker's GEMM rows
-/// full, small enough that the lowered column matrices stay cache-resident.
-/// Pool-size dependent — serving sessions that must be reproducible across
-/// pool sizes pick a fixed block instead.
-[[nodiscard]] std::int64_t legacy_stitch_block();
 
 /// The window tiling of one full-grid stitched prediction: per-axis origins
 /// plus the sub-batch block size (windows per predictor pass). Window i (in
@@ -124,18 +95,17 @@ struct StitchPlan {
   }
 };
 
-/// Builds the stitch plan for a grid. `block` <= 0 selects
-/// legacy_stitch_block().
+/// Builds the stitch plan for a grid, `block` (> 0) windows per pass.
 [[nodiscard]] StitchPlan make_stitch_plan(std::int64_t rows, std::int64_t cols,
                                           std::int64_t window,
                                           std::int64_t stride,
-                                          std::int64_t block = 0);
+                                          std::int64_t block);
 
 /// Accumulates one block's predictions (windows [w0, w0 + preds.dim(0)) of
-/// the plan, preds of shape (B, w, w)) into the moving-average accumulators.
-/// Additions run in ascending window order, so every stitcher built on this
-/// helper performs bit-identical float arithmetic regardless of how blocks
-/// were produced (serially or double-buffered).
+/// the plan, preds of shape (B, w, w)) into the moving-average accumulators
+/// `acc` and `weight` (both (rows, cols), zero-initialised). Additions run
+/// in ascending window order, so the float arithmetic is bit-identical
+/// regardless of how blocks were produced (serially or double-buffered).
 void stitch_accumulate(const StitchPlan& plan, const Tensor& preds,
                        std::int64_t w0, Tensor& acc, Tensor& weight);
 
@@ -149,16 +119,7 @@ void stitch_accumulate(const StitchPlan& plan, const Tensor& preds,
                        std::int64_t w0, Tensor& acc, Tensor& weight);
 
 /// Divides the accumulated predictions by their coverage counts in place —
-/// the final moving-average step shared by all stitchers.
+/// the final moving-average step.
 void stitch_finalize(Tensor& acc, const Tensor& weight);
-
-/// stitch_prediction with whole-batch lowering: gathers every window of
-/// frame `t` into one batch, runs `predictor` once, and applies the same
-/// moving-average filter. Identical output to the per-window overload when
-/// the predictors agree per sample.
-[[nodiscard]] Tensor stitch_prediction_batched(
-    const TrafficDataset& dataset, const ProbeLayout& window_layout,
-    const BatchWindowPredictor& predictor, std::int64_t t,
-    std::int64_t temporal_length, std::int64_t window, std::int64_t stride);
 
 }  // namespace mtsr::data

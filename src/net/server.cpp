@@ -299,11 +299,13 @@ void Server::handle_push(Connection& conn, PushRequest req) {
     resp.status = Status::kError;
     resp.error = "unknown session (or owned by another connection)";
   } else {
-    const auto& scfg = engine_.session(req.session).config();
-    if (req.frame.rank() != 2 || req.frame.dim(0) != scfg.rows ||
-        req.frame.dim(1) != scfg.cols) {
+    // Checked here, not only in the drain's push_all: a bad frame answered
+    // at the door never fails the co-drained sessions' round.
+    std::string frame_error =
+        engine_.session(req.session).frame_error(req.frame);
+    if (!frame_error.empty()) {
       resp.status = Status::kError;
-      resp.error = "frame shape does not match the session geometry";
+      resp.error = std::move(frame_error);
     } else {
       PendingPush pending;
       pending.connection = conn.id;

@@ -1,11 +1,9 @@
 #include "src/nn/pooling.hpp"
 
-#include <sstream>
 
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/nn/replica.hpp"
-#include "src/tensor/tensor_ops.hpp"
 
 namespace mtsr::nn {
 namespace {
@@ -72,47 +70,5 @@ void GlobalAvgPool::prepare_replica_slots(int count) {
 }
 
 std::string GlobalAvgPool::name() const { return "GlobalAvgPool"; }
-
-AvgPool2d::AvgPool2d(int factor) : factor_(factor) {
-  check(factor > 0, "AvgPool2d requires positive factor");
-}
-
-Tensor AvgPool2d::forward(const Tensor& input, bool /*training*/) {
-  shape_slot(input_shape_, "AvgPool2d: replica slot not prepared") =
-      input.shape();
-  return avg_pool2d(input, factor_);
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  const Shape& shape =
-      shape_slot(input_shape_, "AvgPool2d: replica slot not prepared");
-  check(shape.rank() >= 2, "AvgPool2d::backward before forward");
-  const std::int64_t rows = grad_output.dim(-2), cols = grad_output.dim(-1);
-  std::int64_t batch = 1;
-  for (int i = 0; i < grad_output.rank() - 2; ++i) batch *= grad_output.dim(i);
-  Tensor up(shape);
-  check(rows * factor_ == shape.dim(-2) && cols * factor_ == shape.dim(-1) &&
-            up.size() == batch * rows * cols * factor_ * factor_,
-        "AvgPool2d::backward grad shape mismatch");
-  // Each input element receives grad / factor²; the upsample fuses the
-  // scale and writes straight into the result.
-  upsample_nearest2d_into(grad_output.data(), batch, rows, cols, factor_,
-                          1.f / (static_cast<float>(factor_) * factor_),
-                          up.data());
-  return up;
-}
-
-void AvgPool2d::prepare_replica_slots(int count) {
-  Layer::prepare_replica_slots(count);
-  if (input_shape_.size() < static_cast<std::size_t>(count)) {
-    input_shape_.resize(static_cast<std::size_t>(count));
-  }
-}
-
-std::string AvgPool2d::name() const {
-  std::ostringstream out;
-  out << "AvgPool2d(" << factor_ << ")";
-  return out.str();
-}
 
 }  // namespace mtsr::nn

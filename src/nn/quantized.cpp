@@ -424,81 +424,6 @@ Tensor QuantConv3d::forward(const Tensor& input) const {
   return output;
 }
 
-// ---- QuantConvTranspose2d --------------------------------------------------
-
-QuantConvTranspose2d::QuantConvTranspose2d(const ConvTranspose2d& deconv,
-                                           const BatchNorm* bn,
-                                           float lrelu_alpha)
-    : in_channels_(deconv.in_channels()),
-      out_channels_(deconv.out_channels()),
-      kernel_(deconv.kernel()),
-      stride_(deconv.stride()),
-      padding_(deconv.padding()),
-      alpha_(lrelu_alpha) {
-  fold_deconv(deconv.weight(), deconv.bias(), in_channels_, out_channels_,
-              static_cast<std::int64_t>(kernel_) * kernel_, bn, wf_, bf_);
-}
-
-Tensor QuantConvTranspose2d::forward_calibrate(const Tensor& input) {
-  check(!core_.frozen, "QuantConvTranspose2d: forward_calibrate after freeze");
-  check(input.rank() == 4 && input.dim(1) == in_channels_,
-        "QuantConvTranspose2d: bad input shape");
-  core_.in_range.observe(input);
-  const std::int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::int64_t oh = (h - 1) * stride_ - 2 * padding_ + kernel_;
-  const std::int64_t ow = (w - 1) * stride_ - 2 * padding_ + kernel_;
-  const std::int64_t taps = out_channels_ * kernel_ * kernel_;
-  const std::int64_t m = n * h * w;
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  float* x_cm = ws.alloc(in_channels_ * m);
-  batch_to_channel_major_into(input.data(), n, in_channels_, h * w, x_cm);
-  float* cols = ws.alloc(taps * m);
-  matmul_tn_into(wf_.data(), x_cm, cols, in_channels_, taps, m);
-  Tensor output(Shape{n, out_channels_, oh, ow});
-  col2im_batched_into(cols, n, out_channels_, oh, ow, kernel_, kernel_,
-                      stride_, stride_, padding_, padding_, output.data());
-  add_channel_bias(output, bf_);
-  apply_lrelu(output, alpha_);
-  return output;
-}
-
-void QuantConvTranspose2d::freeze() {
-  begin_freeze(core_, "QuantConvTranspose2d");
-  freeze_deconv_core(wf_, in_channels_, out_channels_,
-                     static_cast<std::int64_t>(kernel_) * kernel_, core_);
-  wf_ = Tensor();
-}
-
-Tensor QuantConvTranspose2d::forward(const Tensor& input) const {
-  check(core_.frozen, "QuantConvTranspose2d::forward before freeze()");
-  check(input.rank() == 4 && input.dim(1) == in_channels_,
-        "QuantConvTranspose2d: bad input shape");
-  const std::int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::int64_t oh = (h - 1) * stride_ - 2 * padding_ + kernel_;
-  const std::int64_t ow = (w - 1) * stride_ - 2 * padding_ + kernel_;
-  check(oh > 0 && ow > 0, "QuantConvTranspose2d: output would be empty");
-  const std::int64_t m = n * h * w;
-  const std::int64_t kpad = core_.packed.kpad();
-  const std::int64_t npad = core_.packed.npad;
-  Tensor output(Shape{n, out_channels_, oh, ow});
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  std::uint8_t* aq = ws_bytes(ws, m * kpad);
-  quant::quantize_batch_transpose_u8(input.data(), n, in_channels_, h * w,
-                                     core_.act, aq, kpad);
-  float* cf = ws.alloc(m * npad);
-  const QuantEpilogue ep{core_.col_scale.data(), core_.act.zero_point,
-                         nullptr, 1.f};
-  gemm_u8s8(aq, kpad, core_.packed, m, ep, cf, npad);
-  scatter_rows_to_volume(cf, npad, n, 1, h, w, out_channels_, 1, oh, ow,
-                         {1, kernel_, kernel_}, {1, stride_, stride_},
-                         {0, padding_, padding_}, output.data());
-  add_channel_bias(output, bf_);
-  apply_lrelu(output, alpha_);
-  return output;
-}
-
 // ---- QuantConvTranspose3d --------------------------------------------------
 
 QuantConvTranspose3d::QuantConvTranspose3d(const ConvTranspose3d& deconv,
@@ -580,79 +505,6 @@ Tensor QuantConvTranspose3d::forward(const Tensor& input) const {
                          kernel_, stride_, padding_, output.data());
   add_channel_bias(output, bf_);
   apply_lrelu(output, alpha_);
-  return output;
-}
-
-// ---- QuantDense ------------------------------------------------------------
-
-QuantDense::QuantDense(const Dense& dense, float lrelu_alpha)
-    : in_features_(dense.in_features()),
-      out_features_(dense.out_features()),
-      alpha_(lrelu_alpha) {
-  wf_ = dense.weight();
-  bf_ = dense.bias();
-}
-
-Tensor QuantDense::forward_calibrate(const Tensor& input) {
-  check(!core_.frozen, "QuantDense: forward_calibrate after freeze");
-  check(input.rank() == 2 && input.dim(1) == in_features_,
-        "QuantDense: bad input shape");
-  core_.in_range.observe(input);
-  const std::int64_t n = input.dim(0);
-  Tensor output(Shape{n, out_features_});
-  matmul_nt_into(input.data(), wf_.data(), output.data(), n, in_features_,
-                 out_features_);
-  float* py = output.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t o = 0; o < out_features_; ++o) {
-      py[i * out_features_ + o] += bf_.flat(o);
-    }
-  }
-  apply_lrelu(output, alpha_);
-  return output;
-}
-
-void QuantDense::freeze() {
-  begin_freeze(core_, "QuantDense");
-  freeze_conv_core(wf_, bf_, out_features_, in_features_, core_);
-  wf_ = Tensor();
-}
-
-Tensor QuantDense::forward(const Tensor& input) const {
-  check(core_.frozen, "QuantDense::forward before freeze()");
-  check(input.rank() == 2 && input.dim(1) == in_features_,
-        "QuantDense: bad input shape");
-  const std::int64_t n = input.dim(0);
-  const std::int64_t kpad = core_.packed.kpad();
-  const std::int64_t npad = core_.packed.npad;
-  Tensor output(Shape{n, out_features_});
-  Workspace& ws = Workspace::tls();
-  Workspace::Scope scope(ws);
-  std::uint8_t* aq = ws_bytes(ws, n * kpad);
-  // Rows are already k-major. When no k-pad is needed the whole batch is
-  // one contiguous quantise; otherwise one parallel pass handles the
-  // per-row quantise + tail zeroing (not one pool dispatch per row).
-  if (kpad == in_features_) {
-    quant::quantize_u8(input.data(), n * in_features_, core_.act, aq);
-  } else {
-    const float* px = input.data();
-    parallel_for(n, [&](std::int64_t i) {
-      std::uint8_t* row = aq + i * kpad;
-      for (std::int64_t j = 0; j < in_features_; ++j) {
-        row[j] = quant::quantize_value(px[i * in_features_ + j], core_.act);
-      }
-      std::memset(row + in_features_, 0,
-                  static_cast<std::size_t>(kpad - in_features_));
-    });
-  }
-  float* cf = ws.alloc(n * npad);
-  const QuantEpilogue ep{core_.col_scale.data(), core_.act.zero_point,
-                         core_.bias_pad.data(), alpha_};
-  gemm_u8s8(aq, kpad, core_.packed, n, ep, cf, npad);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(output.data() + i * out_features_, cf + i * npad,
-                static_cast<std::size_t>(out_features_) * sizeof(float));
-  }
   return output;
 }
 

@@ -1,7 +1,8 @@
 // Quantised inference-only layers: the int8 forward variants of the
-// generator's hot layers (Conv2d/Conv3d/ConvTranspose2d/ConvTranspose3d/
-// Dense), built by one-shot conversion from their trained float
-// counterparts.
+// layers the int8 serving models run (Conv2d, Conv3d, ConvTranspose3d),
+// built by one-shot conversion from their trained float counterparts.
+// core::ZipNetInt8 mirrors the generator with them and
+// baselines::SrcnnInt8 the SRCNN stack.
 //
 // Life cycle of every layer here:
 //  1. CONSTRUCT from the float layer — an optional following BatchNorm is
@@ -32,9 +33,7 @@
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/conv3d.hpp"
-#include "src/nn/conv_transpose2d.hpp"
 #include "src/nn/conv_transpose3d.hpp"
-#include "src/nn/dense.hpp"
 #include "src/tensor/quant.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
@@ -103,28 +102,6 @@ class QuantConv3d {
   detail::QuantCore core_;
 };
 
-/// Quantised ConvTranspose2d (+ folded BatchNorm, + LeakyReLU after the
-/// scatter — transposed convolutions accumulate overlapping taps, so bias
-/// and activation cannot fuse into the GEMM epilogue).
-class QuantConvTranspose2d {
- public:
-  QuantConvTranspose2d(const ConvTranspose2d& deconv, const BatchNorm* bn,
-                       float lrelu_alpha = 1.f);
-
-  [[nodiscard]] Tensor forward_calibrate(const Tensor& input);
-  void freeze();
-  [[nodiscard]] Tensor forward(const Tensor& input) const;
-  [[nodiscard]] bool frozen() const { return core_.frozen; }
-
- private:
-  std::int64_t in_channels_, out_channels_;
-  int kernel_, stride_, padding_;
-  float alpha_;
-  Tensor wf_;  ///< folded float weights (C, O·k·k)
-  Tensor bf_;
-  detail::QuantCore core_;
-};
-
 /// Quantised ConvTranspose3d — the ZipNet upscaling stage's first layer.
 class QuantConvTranspose3d {
  public:
@@ -141,25 +118,6 @@ class QuantConvTranspose3d {
   std::array<int, 3> kernel_, stride_, padding_;
   float alpha_;
   Tensor wf_;  ///< folded float weights (C, O·kd·kh·kw)
-  Tensor bf_;
-  detail::QuantCore core_;
-};
-
-/// Quantised Dense (+ fused LeakyReLU). No BN fold — the discriminator
-/// head never follows Dense with BatchNorm.
-class QuantDense {
- public:
-  explicit QuantDense(const Dense& dense, float lrelu_alpha = 1.f);
-
-  [[nodiscard]] Tensor forward_calibrate(const Tensor& input);
-  void freeze();
-  [[nodiscard]] Tensor forward(const Tensor& input) const;
-  [[nodiscard]] bool frozen() const { return core_.frozen; }
-
- private:
-  std::int64_t in_features_, out_features_;
-  float alpha_;
-  Tensor wf_;  ///< float weights (out, in)
   Tensor bf_;
   detail::QuantCore core_;
 };

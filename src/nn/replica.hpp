@@ -37,7 +37,8 @@ namespace replica {
 [[nodiscard]] int slot();
 
 /// Index into per-slot layer caches: slot() inside a replica task, 0 in
-/// direct mode (legacy/serial paths share slot 0's cache).
+/// direct mode (inference and other unreplicated passes share slot 0's
+/// cache).
 [[nodiscard]] int cache_index();
 
 /// RAII: binds the calling thread to replica slot `s`; restores the
@@ -70,16 +71,27 @@ struct SliceRange {
 [[nodiscard]] SliceRange train_slice_range(std::int64_t batch, int slices,
                                            int slice);
 
-/// Resolves a trainer's `replicas` config field to a worker count:
-///   * configured <  0 -> 0: the caller must run its retained legacy
-///     whole-batch serial step (no slicing at all).
-///   * configured >= 1 -> that many replica workers (sliced step).
-///   * configured == 0 -> auto: MTSR_TRAIN_REPLICAS if set (>= 1), else one
-///     replica per pool shard (minimum 1). Auto never picks the legacy
-///     path from topology: the sliced step is bit-identical for any
-///     worker count >= 1, so auto-trained parameters stay independent of
-///     MTSR_THREADS / MTSR_SHARDS. Legacy numerics require an explicit -1.
-[[nodiscard]] int resolve_train_replicas(int configured);
+/// How one train step runs: the batch splits into `slices` micro-slices,
+/// executed by `workers` replica workers (see run_replicated).
+struct TrainSplit {
+  int slices = 1;
+  int workers = 1;
+};
+
+/// Resolves a trainer's `replicas` config field for a batch of `batch`
+/// samples. This is the one place the field is interpreted:
+///   * configured <  0 -> whole-batch: one slice, run inline on the calling
+///     thread (the online trainer's isolated default).
+///   * configured >= 1 -> train_slice_count(batch) slices on that many
+///     workers.
+///   * configured == 0 -> auto: train_slice_count(batch) slices on
+///     MTSR_TRAIN_REPLICAS workers if set (>= 1), else one per pool shard
+///     (minimum 1). The sliced step is bit-identical for any worker count,
+///     so auto-trained parameters stay independent of MTSR_THREADS /
+///     MTSR_SHARDS; whole-batch numerics (one batch-norm batch instead of
+///     one per slice) need an explicit -1.
+[[nodiscard]] TrainSplit resolve_train_split(int configured,
+                                             std::int64_t batch);
 
 /// Per-worker arena telemetry captured at the end of a replicated step,
 /// read from the executing thread's Workspace. Steady-state training must

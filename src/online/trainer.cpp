@@ -134,8 +134,8 @@ void Trainer::stop() {
 }
 
 void Trainer::loop() {
-  // Everything this thread runs directly — optimizer steps, losses, the
-  // legacy serial train step — executes serially under the nested-region
+  // Everything this thread runs directly — optimizer steps, losses, a
+  // whole-batch train step — executes serially under the nested-region
   // guard, never contending for the pool's in-flight task against a
   // concurrently serving thread. Replica-budget configs still fan their
   // slices out through the shard runner queues (run_on_shard is safe to

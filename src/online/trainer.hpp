@@ -23,16 +23,18 @@
 //
 // Serving-latency isolation: the background thread always runs inside a
 // detail::NestedParallelRegion, so every parallel_for it issues directly
-// (optimizer steps, losses, legacy train steps) executes serially on the
-// trainer thread and never contends for the pool's in-flight task. The
+// (optimizer steps, losses, whole-batch train steps) executes serially on
+// the trainer thread and never contends for the pool's in-flight task. The
 // compute budget is `config.trainer.replicas`:
-//   -1 (default)  fully isolated — the whole fine-tune step runs serially
-//                 on the trainer thread; serving latency is untouched.
-//   >= 1 (or 0)   replica-sharded steps (PR 9): slice forwards/backwards
-//                 enqueue on the shard runner queues via run_on_shard,
-//                 interleaving with dispatch rounds in queue order —
-//                 training shares the shards, bounded by queue fairness;
-//                 bench_online records the honest p99 impact.
+//   -1 (default)  whole-batch — each fine-tune step is one slice, run
+//                 inline and serially on the trainer thread; serving
+//                 latency is untouched.
+//   >= 1 (or 0)   sliced steps: slice forwards/backwards enqueue on the
+//                 shard runner queues via run_on_shard, interleaving with
+//                 dispatch rounds in queue order — training shares the
+//                 shards, bounded by queue fairness; bench_online records
+//                 the honest p99 impact. Slicing also changes the numbers:
+//                 each slice normalises its own batch-norm batch.
 //
 // Threading contract: start()/stop() and run_rounds() are caller-thread
 // operations and must not overlap each other; while the background thread
@@ -67,7 +69,7 @@ namespace mtsr::online {
 /// Everything the continuous learner needs to know about the stream it
 /// fine-tunes on and the promotion policy it applies.
 struct TrainerConfig {
-  TrainerConfig() { trainer.replicas = -1; }  // isolated by default
+  TrainerConfig() { trainer.replicas = -1; }  // whole-batch by default
 
   std::string model = "zipnet";  ///< engine registry slot promotions target
   /// Tap stream to learn from (a session's stream tag, or "session-<id>"
@@ -84,7 +86,7 @@ struct TrainerConfig {
 
   /// Fine-tune engine configuration. `trainer.replicas` is the serving
   /// isolation budget (see the header comment); the TrainerConfig default
-  /// overrides GanTrainerConfig's auto to -1 (fully isolated).
+  /// overrides GanTrainerConfig's auto to -1 (whole-batch, inline).
   core::GanTrainerConfig trainer;
   core::DiscriminatorConfig discriminator;  ///< for adversarial_rounds > 0
 

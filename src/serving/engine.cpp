@@ -127,53 +127,47 @@ std::string Engine::stream_key(SessionId id, const Session& s) const {
 }
 
 std::optional<Tensor> Engine::push(SessionId id, const Tensor& fine_snapshot) {
-  Session& s = session(id);
-  if (frame_sink_) frame_sink_(stream_key(id, s), fine_snapshot);
-  return s.push(fine_snapshot);
+  return std::move(serve({id}, {&fine_snapshot}, /*one_feed=*/false)[0]);
 }
 
 std::vector<std::optional<Tensor>> Engine::push_all(
     const std::vector<SessionId>& ids, const std::vector<Tensor>& frames) {
   check(ids.size() == frames.size(), "Engine::push_all: one frame per id");
-  std::vector<Session*> sessions;
   std::vector<const Tensor*> ptrs;
-  sessions.reserve(ids.size());
-  ptrs.reserve(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    sessions.push_back(&session(ids[i]));
-    ptrs.push_back(&frames[i]);
-  }
-  if (frame_sink_) {
-    // One publication per distinct stream per round: fan-out consumers of
-    // one tagged feed carry byte-identical frames, so only the first
-    // occurrence of each tag publishes.
-    std::vector<std::string> seen;
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      std::string key = stream_key(ids[i], *sessions[i]);
-      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-      frame_sink_(key, frames[i]);
-      seen.push_back(std::move(key));
-    }
-  }
-  return scheduler_.serve(sessions, ptrs);
+  ptrs.reserve(frames.size());
+  for (const Tensor& frame : frames) ptrs.push_back(&frame);
+  return serve(ids, ptrs, /*one_feed=*/false);
 }
 
 std::vector<std::optional<Tensor>> Engine::push_fused(
     const std::vector<SessionId>& ids, const Tensor& fine_snapshot) {
+  return serve(ids, std::vector<const Tensor*>(ids.size(), &fine_snapshot),
+               /*one_feed=*/true);
+}
+
+std::vector<std::optional<Tensor>> Engine::serve(
+    const std::vector<SessionId>& ids,
+    const std::vector<const Tensor*>& frames, bool one_feed) {
   std::vector<Session*> sessions;
-  std::vector<const Tensor*> ptrs;
   sessions.reserve(ids.size());
-  ptrs.reserve(ids.size());
-  for (const SessionId id : ids) {
-    sessions.push_back(&session(id));
-    ptrs.push_back(&fine_snapshot);
-  }
-  // push_fused is BY DEFINITION one feed delivered to every session, so
-  // the round publishes its snapshot once, under the first session's key.
-  if (frame_sink_ && !ids.empty()) {
-    frame_sink_(stream_key(ids.front(), *sessions.front()), fine_snapshot);
-  }
-  return scheduler_.serve(sessions, ptrs);
+  for (const SessionId id : ids) sessions.push_back(&session(id));
+  // Runs after the scheduler accepted every frame and before any session
+  // admits one, so a rejected call publishes nothing. One publication per
+  // distinct stream per round: fan-out consumers of one tagged feed carry
+  // byte-identical frames, so only the first occurrence of each key
+  // publishes, and a push_fused round (one feed by definition) publishes
+  // once, under the first session's key.
+  const auto publish = [&] {
+    if (!frame_sink_) return;
+    std::vector<std::string> seen;
+    for (std::size_t i = 0; i < ids.size() && !(one_feed && i > 0); ++i) {
+      std::string key = stream_key(ids[i], *sessions[i]);
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      frame_sink_(key, *frames[i]);
+      seen.push_back(std::move(key));
+    }
+  };
+  return scheduler_.serve(sessions, frames, publish);
 }
 
 Engine::Stats Engine::stats() const {

@@ -148,7 +148,11 @@ class Engine {
     return static_cast<std::int64_t>(sessions_.size());
   }
 
-  /// Convenience forward of Session::push (a one-session scheduler serve).
+  /// One-session scheduler serve (publishes to the frame sink, unlike a
+  /// direct Session::push). Every push form checks all of its frames
+  /// (Session::frame_error) before publishing or admitting any: a wrong
+  /// shape or a non-finite cell throws ContractViolation and leaves every
+  /// session, and the sink, untouched.
   std::optional<Tensor> push(SessionId id, const Tensor& fine_snapshot);
 
   /// Feeds frames[i] into sessions ids[i] and serves all resulting
@@ -169,7 +173,8 @@ class Engine {
   // ---- Continuous-learning hooks -------------------------------------------
 
   /// A frame publication hook on the serving path: called once per distinct
-  /// stream per dispatch round, BEFORE the round is scheduled, with the
+  /// stream per dispatch round, after the round's frames passed the frame
+  /// check and BEFORE the round is scheduled, with the
   /// stream's key and the raw fine snapshot being pushed. The key is the
   /// session's stream tag when set; untagged sessions publish under
   /// "session-<id>". Fan-out consumers of one tagged feed (and push_fused
@@ -253,6 +258,12 @@ class Engine {
  private:
   /// Stream key a session publishes tap frames under.
   [[nodiscard]] std::string stream_key(SessionId id, const Session& s) const;
+  /// The path every push form takes: scheduler serve, with the frame-sink
+  /// publication (one per distinct stream key; only the first session's
+  /// when `one_feed`) between the frame check and admission.
+  std::vector<std::optional<Tensor>> serve(
+      const std::vector<SessionId>& ids,
+      const std::vector<const Tensor*>& frames, bool one_feed);
   std::map<std::string, std::shared_ptr<ModelSlot>> models_;
   FrameSink frame_sink_;  ///< continuous-learning tap (may be empty)
   std::function<OnlineTrainerStats()> online_stats_;

@@ -144,15 +144,12 @@ void Scheduler::release_stream(const std::string& prefix, int shard_index) {
 }
 
 std::vector<std::optional<Tensor>> Scheduler::serve(
-    std::span<Session* const> sessions,
-    std::span<const Tensor* const> frames) {
+    std::span<Session* const> sessions, std::span<const Tensor* const> frames,
+    const std::function<void()>& on_accepted) {
   check(sessions.size() == frames.size(),
         "Scheduler::serve: one frame per session");
-  std::vector<std::optional<Tensor>> outputs(sessions.size());
 
-  // ---- Admission (caller thread: pre-fan-out, serial) ----------------------
-  std::vector<Active> acts;
-  acts.reserve(sessions.size());
+  // ---- Validation: every frame, before anything is published or admitted --
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     check(sessions[i] != nullptr && frames[i] != nullptr,
           "Scheduler::serve: null session or frame");
@@ -160,10 +157,19 @@ std::vector<std::optional<Tensor>> Scheduler::serve(
       check(sessions[i] != sessions[j],
             "Scheduler::serve: duplicate session in one call");
     }
+    const std::string error = sessions[i]->frame_error(*frames[i]);
+    check(error.empty(), "Session::push: " + error);
+  }
+  if (on_accepted) on_accepted();
+  std::vector<std::optional<Tensor>> outputs(sessions.size());
+
+  // ---- Admission (caller thread: pre-fan-out, serial) ----------------------
+  std::vector<Active> acts;
+  acts.reserve(sessions.size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
     Session& s = *sessions[i];
     s.admit(*frames[i]);
     if (!s.warm()) continue;
-    s.refresh_plan();
     Active a;
     a.index = i;
     a.session = &s;

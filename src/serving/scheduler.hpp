@@ -31,9 +31,9 @@
 //    memoised predictions from outliving the weights that produced them.
 //
 // Numerics contract (the bit-identity boundary):
-//  * a session served alone — every Engine::push — follows exactly the
-//    pre-scheduler block sequence under its own arenas: bit-identical to
-//    the unscheduled path at every pool size, overlap on or off;
+//  * a session served alone — every Engine::push — follows its plan's
+//    block sequence under its own arenas: bit-identical at every pool
+//    size, overlap on or off;
 //  * dedup'd consumers scatter the same memoised rows: bitwise-equal
 //    frames by construction;
 //  * int8 models fuse bit-identically (exact s32 accumulation makes the
@@ -62,6 +62,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -114,12 +115,12 @@ struct SchedulerShardStats {
 /// an engine; a standalone Session lazily owns a private one.
 class Scheduler {
  public:
-  /// Fixed sub-batch for engine-native sessions (SessionConfig::block ==
-  /// kDefaultBlock): two windows per block keeps a window-20 block's
-  /// lowered matrices cache-resident on a gateway-class core and — unlike
-  /// the legacy pool-scaled block — is a pure constant, so session outputs
-  /// never depend on the pool size. GEMM pool scaling comes from column
-  /// chunking inside each (possibly fused) pass, not from the block.
+  /// Default sub-batch (SessionConfig::block == kDefaultBlock): two
+  /// windows per block keeps a window-20 block's lowered matrices
+  /// cache-resident on a gateway-class core and is a pure constant, so
+  /// session outputs never depend on the pool size. GEMM pool scaling
+  /// comes from column chunking inside each (possibly fused) pass, not
+  /// from the block.
   static constexpr std::int64_t kFixedBlock = 2;
 
   /// Per-shard state (stage threads included) is created lazily as shards
@@ -134,8 +135,15 @@ class Scheduler {
   /// blocks across the warm sessions. Returns one entry per session:
   /// the stitched full-grid inference, or nullopt while warming up.
   /// Outputs land in input order regardless of fusion.
+  ///
+  /// Every frame is checked (Session::frame_error) before any session
+  /// admits one: a bad frame throws ContractViolation and leaves every
+  /// session as it was. `on_accepted`, when set, runs once between that
+  /// check and the first admission (the engine publishes to its frame
+  /// sink there).
   [[nodiscard]] std::vector<std::optional<Tensor>> serve(
-      std::span<Session* const> sessions, std::span<const Tensor* const> frames);
+      std::span<Session* const> sessions, std::span<const Tensor* const> frames,
+      const std::function<void()>& on_accepted = {});
 
   /// Aggregate counters across every shard.
   [[nodiscard]] SchedulerStats stats() const;

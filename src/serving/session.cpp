@@ -57,8 +57,7 @@ Session::Session(std::shared_ptr<ModelSlot> slot, SessionConfig config,
             config_.window <= config_.cols,
         "Session: window must fit the grid");
   check(config_.stats.stddev > 0.0, "Session: bad normalisation stats");
-  check(config_.block >= SessionConfig::kLegacyBlock,
-        "Session: bad block size");
+  check(config_.block >= 0, "Session: block must be >= 0");
 
   if (config_.layout != nullptr) {
     layout_ = config_.layout;
@@ -190,8 +189,8 @@ Tensor Session::coarsen_windows(const Tensor& normalized) const {
   const std::int64_t w = config_.window;
   Tensor out(Shape{n_windows, ci, ci});
   // Aggregating once per window ON ARRIVAL is what makes steady-state
-  // inference gather-free: the legacy path re-derived every window's
-  // aggregates from the full frame once per history step per prediction.
+  // inference gather-free: no window's aggregates are ever re-derived from
+  // the full frame.
   parallel_for(n_windows, [&](std::int64_t i) {
     Tensor coarse = layout_->coarsen(
         crop2d(normalized, plan_.row_origin(i), plan_.col_origin(i), w, w));
@@ -201,10 +200,16 @@ Tensor Session::coarsen_windows(const Tensor& normalized) const {
   return out;
 }
 
+std::string Session::frame_error(const Tensor& fine_snapshot) const {
+  if (fine_snapshot.rank() != 2 || fine_snapshot.dim(0) != config_.rows ||
+      fine_snapshot.dim(1) != config_.cols) {
+    return "frame shape does not match the session geometry";
+  }
+  if (!fine_snapshot.all_finite()) return "frame has a non-finite cell";
+  return {};
+}
+
 void Session::admit(const Tensor& fine_snapshot) {
-  check(fine_snapshot.rank() == 2 && fine_snapshot.dim(0) == config_.rows &&
-            fine_snapshot.dim(1) == config_.cols,
-        "Session::push: wrong snapshot shape");
   FrameEntry entry;
   if (needs_.coarse_history) {
     if (dedup_prefix_.empty()) {
@@ -249,14 +254,6 @@ std::uint64_t Session::history_signature() const {
   std::uint64_t h = 1469598103934665603ull;
   for (const std::uint64_t fh : frame_hashes_) h = fnv1a(&fh, sizeof(fh), h);
   return h;
-}
-
-void Session::refresh_plan() {
-  // The legacy block tracks the CURRENT pool size on every inference,
-  // exactly as the pre-redesign entry points did.
-  if (config_.block == SessionConfig::kLegacyBlock) {
-    plan_.block = data::legacy_stitch_block();
-  }
 }
 
 void Session::gather_block(std::int64_t b0, std::int64_t b1, int slot) {

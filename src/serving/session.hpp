@@ -3,9 +3,9 @@
 //
 // A session owns everything one city/stream needs between requests:
 //  * the last S frames, pre-coarsened per stitch window on arrival, so a
-//    steady-state inference re-aggregates nothing (the legacy predict_frame
-//    path re-normalised the full frame once per window per history step —
-//    quadratic waste on city-scale grids);
+//    steady-state inference re-aggregates nothing (re-normalising the full
+//    frame once per window per history step would be quadratic waste on
+//    city-scale grids);
 //  * a dedicated rotating pair of mtsr::Workspace arenas. Block k of the
 //    stitch executes with ws[k % 2] bound as the thread workspace, while
 //    the gather of block k+1 runs on the scheduler's stage thread under
@@ -17,15 +17,18 @@
 // The inference LOOP no longer lives here: the session exposes a stepwise
 // contract (admit → gather block → accumulate → finalize) that the serving
 // Scheduler drives, fusing compatible blocks of concurrently served
-// sessions into shared generator passes. A session served alone follows
-// exactly the block sequence the pre-scheduler Session::infer ran.
+// sessions into shared generator passes.
 //
-// Determinism: with a fixed `block`, session outputs are bit-identical
-// across pool sizes and across whether double-buffering is enabled — the
-// stage thread only changes WHEN a block is gathered, never its values, and
-// stitch_accumulate fixes the float-add order. The legacy shims instead
-// select the pool-scaled block of the entry points they replace, which
-// makes them bit-identical to the pre-redesign code at any pool size.
+// Determinism: session outputs are bit-identical across pool sizes and
+// across whether double-buffering is enabled — `block` never depends on the
+// pool, the stage thread only changes WHEN a block is gathered, never its
+// values, and stitch_accumulate fixes the float-add order.
+//
+// Input edge: a frame enters a session only after frame_error() accepts
+// it — the right (rows, cols) shape and every cell finite. Every push path
+// checks all of a call's frames before the engine's frame sink publishes
+// any of them and before any session admits one, so a rejected call leaves
+// no state behind.
 #pragma once
 
 #include <cstdint>
@@ -72,13 +75,11 @@ struct SessionConfig {
   /// is borrowed and must outlive the session.
   const data::ProbeLayout* layout = nullptr;
 
-  /// Windows per generator pass. kDefaultBlock (0) selects a fixed
-  /// sub-batch that never depends on the pool size, so session outputs are
-  /// reproducible across deployments; kLegacyBlock (-1) re-evaluates the
-  /// pool-scaled block of the pre-redesign entry points on every inference
-  /// (the forwarding shims use it for bit-identical outputs).
+  /// Windows per generator pass (>= 0; negative values are rejected).
+  /// kDefaultBlock (0) selects Scheduler::kFixedBlock. Either way the block
+  /// never depends on the pool size, so session outputs are reproducible
+  /// across deployments.
   static constexpr std::int64_t kDefaultBlock = 0;
-  static constexpr std::int64_t kLegacyBlock = -1;
   std::int64_t block = kDefaultBlock;
 
   /// Double-buffering: kAuto enables the stage-thread overlap when the
@@ -124,6 +125,13 @@ class Session {
   /// Drops the rolling history (the arenas keep their capacity).
   void reset();
 
+  /// Why `fine_snapshot` cannot be pushed into this session — a shape
+  /// other than (rows, cols), or a non-finite cell — or an empty string
+  /// when it can. The one frame check of every push path (Scheduler::serve
+  /// runs it on all frames of a call before admitting any; the network
+  /// front door runs it before queueing a PUSH).
+  [[nodiscard]] std::string frame_error(const Tensor& fine_snapshot) const;
+
   /// Frames still needed before inference starts.
   [[nodiscard]] std::int64_t frames_until_ready() const;
 
@@ -168,8 +176,9 @@ class Session {
   };
 
   // ---- Scheduler-facing stepwise contract ----------------------------------
-  /// Absorbs one snapshot into the rolling history (and the dedup hash
-  /// chain when the session is stream-tagged). Stream-tagged coarse-history
+  /// Absorbs one snapshot, already accepted by frame_error(), into the
+  /// rolling history (and the dedup hash chain when the session is
+  /// stream-tagged). Stream-tagged coarse-history
   /// sessions short-circuit ALL per-frame pre-aggregation — normalisation
   /// included, not just the per-window coarsening: a fan-out consumer whose
   /// blocks the stream memo serves never gathers, so any admit-time work
@@ -184,9 +193,6 @@ class Session {
   [[nodiscard]] bool warm() const {
     return static_cast<std::int64_t>(history_.size()) >= s_;
   }
-  /// Re-evaluates the pool-scaled block for kLegacyBlock sessions; called
-  /// once per inference, exactly as the pre-scheduler loop did.
-  void refresh_plan();
   /// Gathers windows [b0, b1) of the plan into slot `slot`'s batch.
   void gather_block(std::int64_t b0, std::int64_t b1, int slot);
   [[nodiscard]] ModelSlot::Ref resolve_model() const {
@@ -207,7 +213,7 @@ class Session {
   std::unique_ptr<data::ProbeLayout> owned_layout_;
   const data::ProbeLayout* layout_ = nullptr;
   StreamContext stream_;
-  data::StitchPlan plan_;  ///< block re-evaluated per infer for kLegacyBlock
+  data::StitchPlan plan_;
   ModelInputs needs_;
   std::int64_t s_ = 1;
   std::int64_t stride_ = 0;

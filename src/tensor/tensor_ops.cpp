@@ -2043,7 +2043,7 @@ Tensor sum_pool2d(const Tensor& input, int factor) {
 
 void upsample_nearest2d_into(const float* pi, std::int64_t batch,
                              std::int64_t rows, std::int64_t cols, int factor,
-                             float scale, float* po) {
+                             float* po) {
   const std::int64_t orows = rows * factor;
   const std::int64_t ocols = cols * factor;
   parallel_for(batch, [&](std::int64_t b) {
@@ -2051,7 +2051,7 @@ void upsample_nearest2d_into(const float* pi, std::int64_t batch,
       const float* irow = pi + (b * rows + r / factor) * cols;
       float* orow = po + (b * orows + r) * ocols;
       for (std::int64_t c = 0; c < ocols; ++c) {
-        orow[c] = irow[c / factor] * scale;
+        orow[c] = irow[c / factor];
       }
     }
   });
@@ -2061,7 +2061,7 @@ Tensor upsample_nearest2d(const Tensor& input, int factor) {
   check(factor > 0, "upsample_nearest2d requires factor > 0");
   const Flat3 f = flatten_spatial(input.shape(), "upsample_nearest2d");
   Tensor out(with_spatial(input.shape(), f.rows * factor, f.cols * factor));
-  upsample_nearest2d_into(input.data(), f.batch, f.rows, f.cols, factor, 1.f,
+  upsample_nearest2d_into(input.data(), f.batch, f.rows, f.cols, factor,
                           out.data());
   return out;
 }

@@ -60,10 +60,6 @@ void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
 void transpose_into(const float* a, std::int64_t m, std::int64_t n,
                     float* out);
 
-/// Feature-test macro for the forced-kernel seams below — lets the bench
-/// binary compile against trees that predate the hand-scheduled kernels.
-#define MTSR_TENSOR_OPS_FORCED_KERNELS 1
-
 /// Name of the hand-scheduled panel microkernel the float matmul family
 /// dispatches to on this host: "avx512" (8×32 FMA register tile), "avx2"
 /// (6×16), or "generic" (the portable fallback). The MTSR_SIMD environment
@@ -380,11 +376,10 @@ void accumulate_channel_sums(const Tensor& batch, Tensor& sums);
 [[nodiscard]] Tensor upsample_nearest2d(const Tensor& input, int factor);
 
 /// Destination-passing nearest-neighbour upsample over raw (batch, rows,
-/// cols) data, with every output element scaled by `scale` — the fused form
-/// of AvgPool2d's backward (upsample then divide by factor²).
+/// cols) data.
 void upsample_nearest2d_into(const float* input, std::int64_t batch,
                              std::int64_t rows, std::int64_t cols, int factor,
-                             float scale, float* out);
+                             float* out);
 
 /// Concatenates rank-N tensors along axis 0. All other dims must match.
 [[nodiscard]] Tensor concat0(const std::vector<Tensor>& parts);

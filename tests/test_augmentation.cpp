@@ -3,6 +3,10 @@
 // full-grid reconstruction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
 #include "src/data/augmentation.hpp"
@@ -86,56 +90,64 @@ TEST(Augmentation, MakeSampleValidatesSpec) {
                ContractViolation);  // layout/window mismatch
 }
 
+// Stitches every window of `plan` the way a serving session does: block by
+// block through stitch_accumulate, then stitch_finalize averages overlaps.
+Tensor stitch(const StitchPlan& plan,
+              const std::function<Tensor(std::int64_t)>& predict_window) {
+  Tensor acc(Shape{plan.rows, plan.cols});
+  Tensor weight(Shape{plan.rows, plan.cols});
+  for (std::int64_t b0 = 0; b0 < plan.window_count(); b0 += plan.block) {
+    const std::int64_t b1 = std::min(plan.window_count(), b0 + plan.block);
+    std::vector<Tensor> preds;
+    for (std::int64_t i = b0; i < b1; ++i) preds.push_back(predict_window(i));
+    stitch_accumulate(plan, stack0(preds), b0, acc, weight);
+  }
+  stitch_finalize(acc, weight);
+  return acc;
+}
+
 TEST(Stitching, IdentityPredictorReconstructsTruth) {
   // If the "predictor" returns the true window, stitching must reproduce
-  // the normalised frame exactly (moving average of identical overlaps).
+  // the frame exactly (moving average of identical overlaps).
   TrafficDataset ds = make_dataset(12, 5);
-  UniformProbeLayout layout(6, 6, 2);
-  const std::int64_t t = 3, s = 2, window = 6, stride = 3;
-  Tensor truth = ds.normalized_frame(t);
-  // Capture crops keyed by the coarse input; emulate a perfect oracle by
-  // recomputing the window from its origin. The predictor interface only
-  // sees the input, so track origins via a queue matching stitch order.
-  std::vector<Tensor> expected_windows;
-  for (std::int64_t r0 = 0; r0 + window <= 12; r0 += stride) {
-    for (std::int64_t c0 = 0; c0 + window <= 12; c0 += stride) {
-      expected_windows.push_back(crop2d(truth, r0, c0, window, window));
-    }
-  }
-  std::size_t next = 0;
-  WindowPredictor oracle = [&](const Tensor&) {
-    return expected_windows.at(next++);
-  };
-  Tensor stitched =
-      stitch_prediction(ds, layout, oracle, t, s, window, stride);
+  const Tensor truth = ds.normalized_frame(3);
+  const std::int64_t window = 6;
+  // 3 windows per pass over 9 windows: blocks end mid-row of the tiling.
+  const StitchPlan plan = make_stitch_plan(12, 12, window, 3, 3);
+  ASSERT_EQ(plan.window_count(), 9);
+  const Tensor stitched = stitch(plan, [&](std::int64_t i) {
+    return crop2d(truth, plan.row_origin(i), plan.col_origin(i), window,
+                  window);
+  });
   for (std::int64_t i = 0; i < truth.size(); ++i) {
     EXPECT_NEAR(stitched.flat(i), truth.flat(i), 1e-5);
   }
 }
 
 TEST(Stitching, ConstantPredictorGivesConstantGrid) {
-  TrafficDataset ds = make_dataset(8, 4);
-  UniformProbeLayout layout(4, 4, 2);
-  WindowPredictor constant = [](const Tensor&) {
-    return Tensor::full(Shape{4, 4}, 2.5f);
-  };
-  Tensor stitched = stitch_prediction(ds, layout, constant, 2, 1, 4, 2);
+  const StitchPlan plan = make_stitch_plan(8, 8, 4, 2, 2);
+  const Tensor stitched = stitch(
+      plan, [](std::int64_t) { return Tensor::full(Shape{4, 4}, 2.5f); });
   for (std::int64_t i = 0; i < stitched.size(); ++i) {
     EXPECT_FLOAT_EQ(stitched.flat(i), 2.5f);
   }
 }
 
 TEST(Stitching, CoversGridWhenStrideDoesNotDivide) {
-  TrafficDataset ds = make_dataset(10, 4);
-  UniformProbeLayout layout(4, 4, 2);
-  WindowPredictor constant = [](const Tensor&) {
-    return Tensor::ones(Shape{4, 4});
-  };
-  // stride 3 over extent 10 with window 4: origins 0, 3, 6 + clamped 6...
-  Tensor stitched = stitch_prediction(ds, layout, constant, 1, 1, 4, 3);
+  // stride 4 over extent 10 with window 4: origins 0, 4 + clamped 6.
+  const StitchPlan plan = make_stitch_plan(10, 10, 4, 4, 2);
+  EXPECT_EQ(plan.row_origins, (std::vector<std::int64_t>{0, 4, 6}));
+  const Tensor stitched =
+      stitch(plan, [](std::int64_t) { return Tensor::ones(Shape{4, 4}); });
   for (std::int64_t i = 0; i < stitched.size(); ++i) {
     EXPECT_FLOAT_EQ(stitched.flat(i), 1.f);
   }
+}
+
+TEST(Stitching, PlanRequiresPositiveBlock) {
+  EXPECT_THROW((void)make_stitch_plan(8, 8, 4, 2, 0), ContractViolation);
+  EXPECT_THROW((void)make_stitch_plan(8, 8, 4, 2, -1), ContractViolation);
+  EXPECT_EQ(make_stitch_plan(8, 8, 4, 2, 3).block_count(), 3);  // 9 windows
 }
 
 }  // namespace

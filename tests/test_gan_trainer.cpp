@@ -185,39 +185,5 @@ TEST(GanTrainer, CriticItersAndWeightClipStabilitySchedule) {
   }
 }
 
-TEST(GanTrainer, DefaultCriticScheduleIsLegacyBitIdentical) {
-  // critic_iters=1 / weight_clip=0 must not perturb the legacy trainer:
-  // same seeds, same sample source => bit-identical generator weights.
-  Fixture f;
-  auto run = [&](bool set_defaults_explicitly) {
-    Rng rng(156);
-    ZipNet g(f.generator_config(), rng);
-    Discriminator d(f.discriminator_config(), rng);
-    GanTrainerConfig config;
-    config.batch_size = 4;
-    config.learning_rate = 1e-3f;
-    if (set_defaults_explicitly) {
-      config.critic_iters = 1;
-      config.weight_clip = 0.f;
-    }
-    GanTrainer trainer(g, d, config);
-    (void)trainer.pretrain(f.source, 8);
-    (void)trainer.train(f.source, 4);
-    std::vector<float> weights;
-    for (const nn::Parameter* param : g.parameters()) {
-      for (std::int64_t i = 0; i < param->value.size(); ++i) {
-        weights.push_back(param->value.flat(i));
-      }
-    }
-    return weights;
-  };
-  const auto a = run(false);
-  const auto b = run(true);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "weight " << i;
-  }
-}
-
 }  // namespace
 }  // namespace mtsr::core

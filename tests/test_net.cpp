@@ -3,8 +3,9 @@
 // contract, the bounded admission queue's one-push-per-session rounds,
 // and the TCP server end to end over loopback — bitwise parity between
 // wire-served and in-process inference, explicit backpressure when the
-// admission queue floods, slow-client write-buffer eviction, and error
-// responses that leave the connection usable.
+// admission queue floods, slow-client write-buffer eviction, error
+// responses that leave the connection usable, and non-finite frames
+// answered at the door without failing their round.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -552,6 +555,93 @@ TEST(Server, ErrorResponsesLeaveTheConnectionUsable) {
   }
   server.stop();
   loop.join();
+}
+
+TEST(Server, NonFiniteFrameAnsweredWithErrorAndRoundServed) {
+  PoolGuard guard;
+  ServedEngine served;
+  Server server(served.engine, ServerConfig{});
+  server.set_auto_drain(false);  // a round drains only when the test says
+  Client client("127.0.0.1", server.port());
+  // The server shares this thread (the single-step seam): poll it on a
+  // helper thread while the client blocks.
+  auto polled = [&](const auto& call) {
+    std::atomic<bool> done{false};
+    std::thread step([&] {
+      while (!done.load()) server.poll_once(2);
+    });
+    auto result = call();
+    done.store(true);
+    step.join();
+    return result;
+  };
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < 3; ++i) {
+    const auto open = polled([&] {
+      return client.open(open_request_for(served.dataset, "zipnet"));
+    });
+    ASSERT_EQ(open.status, Status::kOk);
+    ids.push_back(open.session);
+  }
+  const std::int64_t a = ids[0], b = ids[1], c = ids[2];
+  Tensor poisoned = served.dataset.frame(3);
+  poisoned.flat(17) = std::numeric_limits<float>::quiet_NaN();
+
+  // One round per interval for a and b; c's only push, the poisoned one,
+  // arrives in round 3 alongside theirs.
+  const int kFrames = 5;
+  std::vector<Tensor> wire_a, wire_b;
+  std::int64_t sent = 0;
+  for (int t = 0; t < kFrames; ++t) {
+    client.send_push(a, served.dataset.frame(t));
+    client.send_push(b, served.dataset.frame(t + 10));
+    sent += 2;
+    if (t == 3) {
+      client.send_push(c, poisoned);
+      ++sent;
+    }
+    for (int k = 0; k < 400 && server.front_door_stats().pushes < sent; ++k) {
+      server.poll_once(5);
+    }
+    ASSERT_EQ(server.front_door_stats().pushes, sent);
+    server.drain();
+    for (int i = 0; i < (t == 3 ? 3 : 2); ++i) {
+      const auto resp = polled([&] { return client.poll_push(2000); });
+      ASSERT_TRUE(resp.has_value());
+      if (resp->session == c) {
+        EXPECT_EQ(resp->status, Status::kError);
+        EXPECT_NE(resp->error.find("finite"), std::string::npos);
+      } else if (resp->status == Status::kOk) {
+        (resp->session == a ? wire_a : wire_b).push_back(resp->frame);
+      } else {
+        EXPECT_EQ(resp->status, Status::kWarmup);
+      }
+    }
+  }
+  const auto fd = server.front_door_stats();
+  EXPECT_EQ(fd.errors, 1);
+  EXPECT_EQ(fd.served, 2 * (kFrames - 2));
+  EXPECT_EQ(served.engine.session(c).frames_until_ready(), 3);
+
+  // Control: the same two-session rounds in process, over the same model.
+  serving::Engine control;
+  control.register_model(
+      "zipnet",
+      std::make_shared<serving::ZipNetModel>(served.pipeline.generator()));
+  const serving::SessionConfig cfg = serving::SessionConfig::from_dataset(
+      "zipnet", data::MtsrInstance::kUp4, served.dataset, 8, 4);
+  const auto ca = control.open_session(cfg);
+  const auto cb = control.open_session(cfg);
+  ASSERT_EQ(wire_a.size(), static_cast<std::size_t>(kFrames - 2));
+  ASSERT_EQ(wire_b.size(), wire_a.size());
+  for (int t = 0; t < kFrames; ++t) {
+    const auto out = control.push_all(
+        {ca, cb}, {served.dataset.frame(t), served.dataset.frame(t + 10)});
+    if (!out[0].has_value()) continue;
+    const auto i = static_cast<std::size_t>(t - 2);
+    expect_bitwise(wire_a[i], *out[0], "co-drained session a");
+    expect_bitwise(wire_b[i], *out[1], "co-drained session b");
+  }
 }
 
 TEST(Server, GarbageFramesCutTheConnection) {

@@ -11,7 +11,6 @@
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/conv3d.hpp"
-#include "src/nn/conv_transpose2d.hpp"
 #include "src/nn/conv_transpose3d.hpp"
 #include "src/nn/dense.hpp"
 #include "src/nn/grad_check.hpp"
@@ -58,18 +57,6 @@ TEST(GradCheck, Conv3dAnisotropicKernel) {
   Rng rng(104);
   Conv3d layer(2, 1, {1, 3, 3}, {1, 1, 1}, {0, 1, 1}, rng);
   expect_gradients_match(layer, Tensor::randn(Shape{1, 2, 2, 4, 3}, rng), rng);
-}
-
-TEST(GradCheck, ConvTranspose2dFactor2) {
-  Rng rng(105);
-  ConvTranspose2d layer(2, 2, 4, 2, 1, rng);
-  expect_gradients_match(layer, Tensor::randn(Shape{2, 2, 3, 3}, rng), rng);
-}
-
-TEST(GradCheck, ConvTranspose2dNoBias) {
-  Rng rng(106);
-  ConvTranspose2d layer(1, 3, 3, 1, 1, rng, /*bias=*/false);
-  expect_gradients_match(layer, Tensor::randn(Shape{1, 1, 4, 4}, rng), rng);
 }
 
 TEST(GradCheck, ConvTranspose3dSpatialUpscale) {
@@ -136,12 +123,6 @@ TEST(GradCheck, GlobalAvgPoolLayer) {
   expect_gradients_match(layer, Tensor::randn(Shape{2, 3, 4, 4}, rng), rng);
 }
 
-TEST(GradCheck, AvgPool2dLayer) {
-  Rng rng(117);
-  AvgPool2d layer(2);
-  expect_gradients_match(layer, Tensor::randn(Shape{2, 2, 4, 4}, rng), rng);
-}
-
 TEST(GradCheck, SequentialComposition) {
   Rng rng(118);
   Sequential net;
@@ -175,20 +156,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Conv2dCase{3, 2, 1, 2, 1, 6},
                       Conv2dCase{5, 1, 2, 1, 1, 6},
                       Conv2dCase{2, 2, 0, 2, 2, 4}));
-
-// Parameterised sweep: ConvTranspose2d across upscale factors.
-class Deconv2dGradSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(Deconv2dGradSweep, MatchesNumericalGradients) {
-  const int factor = GetParam();
-  Rng rng(300 + factor);
-  ConvTranspose2d layer(1, 1, factor + 2, factor, 1, rng);
-  Tensor input = Tensor::randn(Shape{1, 1, 3, 3}, rng);
-  expect_gradients_match(layer, input, rng);
-}
-
-INSTANTIATE_TEST_SUITE_P(Factors, Deconv2dGradSweep,
-                         ::testing::Values(2, 3, 4, 5));
 
 }  // namespace
 }  // namespace mtsr::nn

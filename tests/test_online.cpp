@@ -1,6 +1,8 @@
 // Tests for the continuous-learning service (src/online): FrameTap
 // drop-oldest semantics, the engine frame sink across all three push paths
-// (the same hook the net front door's push_all drain feeds), holdout-gated
+// (the same hook the net front door's push_all drain feeds), bad frames
+// (wrong shape, NaN, Inf) rejected before the tap or any history sees them,
+// holdout-gated
 // checkpoint promotion with staleness bookkeeping, forced-rejection leaving
 // serving bit-identical (background trainer running or not), concurrent
 // serve+train with zero dropped frames (the TSan leg runs this file), and
@@ -10,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -162,6 +165,72 @@ TEST(OnlineTrainer, TapFedByAllEnginePushPaths) {
   engine.close_session(a);
   engine.close_session(b);
   engine.close_session(c);
+}
+
+TEST(OnlineTrainer, BadFramesRejectedBeforeTapOrHistory) {
+  data::TrafficDataset dataset = small_dataset(518);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+  serving::Engine engine;
+  engine.register_model(
+      "zipnet", std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+  serving::Engine control;
+  control.register_model(
+      "zipnet", std::make_shared<serving::ZipNetModel>(pipeline.generator()));
+  Trainer trainer(engine, pipeline.generator(),
+                  small_online_config(dataset, "test-online-bad-frames"));
+  const auto a = engine.open_session(stream_config(dataset));
+  const auto b = engine.open_session(stream_config(dataset));
+  const auto ca = control.open_session(stream_config(dataset));
+  const auto cb = control.open_session(stream_config(dataset));
+  auto round = [&](serving::Engine& e, serving::Engine::SessionId x,
+                   serving::Engine::SessionId y, std::int64_t t) {
+    return e.push_all({x, y}, {dataset.frame(t), dataset.frame(t + 10)});
+  };
+  for (std::int64_t t = 0; t < 2; ++t) {
+    (void)round(engine, a, b, t);
+    (void)round(control, ca, cb, t);
+  }
+  const std::int64_t published = trainer.tap().stats().published;
+  ASSERT_EQ(published, 4);
+
+  Tensor nan_frame = dataset.frame(2);
+  nan_frame.flat(5) = std::numeric_limits<float>::quiet_NaN();
+  Tensor inf_frame = dataset.frame(12);
+  inf_frame.flat(9) = -std::numeric_limits<float>::infinity();
+  const Tensor misshaped(Shape{8, 8});
+  // Session a's frame is clean in the first two calls: it must not be
+  // admitted either, because its call carries a bad frame for b.
+  EXPECT_THROW((void)engine.push_all({a, b}, {dataset.frame(2), misshaped}),
+               ContractViolation);
+  EXPECT_THROW((void)engine.push_all({a, b}, {dataset.frame(2), inf_frame}),
+               ContractViolation);
+  EXPECT_THROW((void)engine.push_all({a, b}, {nan_frame, dataset.frame(12)}),
+               ContractViolation);
+  EXPECT_THROW((void)engine.push(a, nan_frame), ContractViolation);
+  EXPECT_THROW((void)engine.push_fused({a, b}, nan_frame), ContractViolation);
+  EXPECT_THROW((void)engine.session(b).push(inf_frame), ContractViolation);
+
+  EXPECT_EQ(trainer.tap().stats().published, published);
+  for (const auto id : {a, b}) {
+    EXPECT_EQ(engine.session(id).frames_until_ready(), 1);
+    EXPECT_EQ(engine.session(id).inference_count(), 0);
+  }
+
+  std::size_t produced = 0;
+  for (std::int64_t t = 2; t < 6; ++t) {
+    const auto got = round(engine, a, b, t);
+    const auto want = round(control, ca, cb, t);
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(got[i].has_value() && want[i].has_value());
+      expect_bitwise(*got[i], *want[i], "post-rejection serving parity");
+      EXPECT_TRUE(got[i]->all_finite());
+      ++produced;
+    }
+  }
+  EXPECT_EQ(produced, 8u);
+  EXPECT_EQ(trainer.tap().stats().published, published + 8);
+  for (const auto id : {a, b}) engine.close_session(id);
+  for (const auto id : {ca, cb}) control.close_session(id);
 }
 
 TEST(OnlineTrainer, PromotionThroughHoldoutGate) {

@@ -17,7 +17,6 @@
 #include "src/nn/batchnorm.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/nn/conv3d.hpp"
-#include "src/nn/conv_transpose2d.hpp"
 #include "src/nn/conv_transpose3d.hpp"
 #include "src/nn/dense.hpp"
 #include "src/nn/sequential.hpp"
@@ -380,10 +379,12 @@ TEST(PoolDeterminism, Gradients3dBitIdenticalAcrossPoolSizes) {
 TEST(PoolDeterminism, DenseAndTransposeGradientsAcrossPoolSizes) {
   PoolGuard guard;
   auto run = [] {
+    // Dense runs the transposed GEMM forms: x·Wᵀ forward, gᵀ·x for dW
+    // (accumulated), then g·W for dX.
     Rng rng(99);
     nn::Sequential net;
-    net.emplace<nn::ConvTranspose2d>(2, 3, 4, 2, 1, rng);
-    Tensor x = Tensor::randn(Shape{4, 2, 5, 5}, rng);
+    net.emplace<nn::Dense>(96, 80, rng);
+    Tensor x = Tensor::randn(Shape{37, 96}, rng);
     Tensor y = net.forward(x, /*training=*/true);
     net.backward(Tensor::ones(y.shape()));
     std::vector<float> grads;

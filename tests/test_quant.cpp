@@ -19,7 +19,6 @@
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/workspace.hpp"
-#include "src/core/discriminator_int8.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/zipnet_int8.hpp"
 #include "src/data/milan.hpp"
@@ -502,18 +501,6 @@ TEST(QuantLayers, Conv3dFoldParityAndInt8Accuracy) {
       });
 }
 
-TEST(QuantLayers, ConvTranspose2dFoldParityAndInt8Accuracy) {
-  Rng rng(19);
-  nn::ConvTranspose2d deconv(4, 3, 4, 2, 1, rng);
-  nn::BatchNorm bn(3);
-  expect_fold_parity(
-      deconv, bn, 0.1f,
-      [](Rng& r) { return Tensor::randn(Shape{2, 4, 6, 6}, r); },
-      [](const nn::ConvTranspose2d& c, const nn::BatchNorm& b, float a) {
-        return std::make_unique<nn::QuantConvTranspose2d>(c, &b, a);
-      });
-}
-
 TEST(QuantLayers, ConvTranspose3dFoldParityAndInt8Accuracy) {
   Rng rng(20);
   nn::ConvTranspose3d deconv(3, 4, {3, 4, 4}, {1, 2, 2}, {1, 1, 1}, rng);
@@ -524,34 +511,6 @@ TEST(QuantLayers, ConvTranspose3dFoldParityAndInt8Accuracy) {
       [](const nn::ConvTranspose3d& c, const nn::BatchNorm& b, float a) {
         return std::make_unique<nn::QuantConvTranspose3d>(c, &b, a);
       });
-}
-
-TEST(QuantLayers, DenseInt8TracksFloat) {
-  Rng rng(21);
-  nn::Dense dense(34, 11, rng);
-  nn::QuantDense quantised(dense);
-  Tensor x = Tensor::randn(Shape{6, 34}, rng);
-  Tensor want;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    want = quantised.forward_calibrate(x);
-    // The calibration path reproduces the float layer itself.
-    Tensor direct = dense.forward(x, false);
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(want.flat(i), direct.flat(i), 1e-4);
-    }
-  }
-  quantised.freeze();
-  EXPECT_TRUE(quantised.frozen());
-  Tensor got;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    got = quantised.forward(x);
-  }
-  ASSERT_EQ(want.shape(), got.shape());
-  for (std::int64_t i = 0; i < want.size(); ++i) {
-    EXPECT_NEAR(want.flat(i), got.flat(i), 0.15f);
-  }
 }
 
 TEST(QuantLayers, FreezeRequiresCalibration) {
@@ -834,53 +793,6 @@ TEST(SrcnnInt8, ServingNrmseWithinTwoPercentOfFloat) {
   // 2% relative of the float SRCNN baseline.
   EXPECT_LE(std::fabs(nrmse_int8 - nrmse_float), 0.02 * nrmse_float)
       << "float NRMSE " << nrmse_float << " vs int8 " << nrmse_int8;
-}
-
-// ---- DiscriminatorInt8 -----------------------------------------------------
-
-TEST(DiscriminatorInt8, MirrorsFloatWithinQuantisationNoise) {
-  Rng rng(24);
-  core::DiscriminatorConfig config;
-  config.base_channels = 4;
-  core::Discriminator disc(config, rng);
-
-  // A few training forwards move the BatchNorm running statistics off
-  // their init values, so the fold is exercised for real.
-  std::vector<Tensor> batches;
-  for (int i = 0; i < 3; ++i) {
-    batches.push_back(Tensor::randn(Shape{2, 16, 16}, rng));
-    Workspace::Scope scope(Workspace::tls());
-    (void)disc.forward(batches.back(), true);
-  }
-
-  EXPECT_THROW((void)core::DiscriminatorInt8::convert(disc, {}),
-               ContractViolation);
-
-  core::DiscriminatorInt8 net(disc);
-  Tensor want;
-  {
-    Workspace::Scope scope(Workspace::tls());
-    want = disc.forward(batches[0], false);
-    Tensor got = net.forward_calibrate(batches[0]);
-    ASSERT_EQ(want.shape(), got.shape());
-    for (std::int64_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(want.flat(i), got.flat(i), 1e-4) << "at " << i;
-    }
-  }
-  EXPECT_THROW((void)net.forward(batches[0]), ContractViolation);
-
-  auto frozen = core::DiscriminatorInt8::convert(disc, batches);
-  ASSERT_TRUE(frozen->frozen());
-  Workspace::Scope scope(Workspace::tls());
-  Tensor got = frozen->forward(batches[0]);
-  ASSERT_EQ(got.shape(), want.shape());
-  for (std::int64_t i = 0; i < got.size(); ++i) {
-    // Probabilities stay in (0, 1) and track the float head within the
-    // accumulated quantisation noise of seven int8 layers.
-    EXPECT_GT(got.flat(i), 0.f);
-    EXPECT_LT(got.flat(i), 1.f);
-    EXPECT_NEAR(got.flat(i), want.flat(i), 0.1f) << "at " << i;
-  }
 }
 
 }  // namespace

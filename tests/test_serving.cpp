@@ -1,8 +1,8 @@
 // Tests for the serving layer: engine/session lifecycle, warm-up
 // semantics, multi-session determinism (pool sizes, interleavings, overlap
-// on/off), shim-vs-engine output identity, per-session arena telemetry and
-// the zero-growth steady-state contract, baseline interchangeability, and
-// the load_generator architecture diagnostics.
+// on/off), predict_frame-vs-session output identity, per-session arena
+// telemetry and the zero-growth steady-state contract, baseline
+// interchangeability, and the load_generator architecture diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "src/common/parallel.hpp"
 #include "src/common/topology.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/core/streaming.hpp"
 #include "src/data/milan.hpp"
 #include "src/serving/engine.hpp"
 #include "src/serving/model.hpp"
@@ -146,17 +145,15 @@ TEST(Session, WarmUpSemanticsThroughEngine) {
 }
 
 TEST(Session, PipelineShimMatchesEngineSession) {
-  // The predict_frame shim and a hand-opened session with the same legacy
-  // configuration must produce bit-identical full-grid predictions.
+  // predict_frame and a hand-opened default-block session must produce
+  // bit-identical full-grid predictions.
   data::TrafficDataset dataset = small_dataset(412);
   core::PipelineConfig config = small_pipeline_config();
   config.stitch_stride = 3;
   core::MtsrPipeline pipeline(config, dataset);
 
-  SessionConfig session_config = SessionConfig::from_dataset(
-      "zipnet", data::MtsrInstance::kUp4, dataset, 8, 3);
-  session_config.block = SessionConfig::kLegacyBlock;
-  const auto id = pipeline.engine().open_session(session_config);
+  const auto id = pipeline.engine().open_session(SessionConfig::from_dataset(
+      "zipnet", data::MtsrInstance::kUp4, dataset, 8, 3));
 
   for (std::int64_t t : {4, 5, 9}) {
     Session& session = pipeline.engine().session(id);
@@ -166,35 +163,25 @@ TEST(Session, PipelineShimMatchesEngineSession) {
       manual = session.push(dataset.frame(f));
     }
     ASSERT_TRUE(manual.has_value());
-    Tensor shim = pipeline.predict_frame(t);
-    expect_bitwise(shim, *manual, "predict_frame vs engine session");
+    Tensor from_pipeline = pipeline.predict_frame(t);
+    expect_bitwise(from_pipeline, *manual, "predict_frame vs engine session");
   }
 }
 
-TEST(Session, StreamingShimMatchesEngineSession) {
+TEST(Session, NegativeBlockRejected) {
   data::TrafficDataset dataset = small_dataset(413);
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
-
-  core::StreamingInferencer stream = core::StreamingInferencer::from_dataset(
-      pipeline.generator(), pipeline.window_layout(), dataset, 8, 4);
-
   Engine engine;
   engine.register_model(
       "zipnet", std::make_shared<ZipNetModel>(pipeline.generator()));
   SessionConfig config = SessionConfig::from_dataset(
       "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 1;  // the streaming shim's legacy per-window batching
-  const auto id = engine.open_session(config);
-
-  for (std::int64_t t = 0; t < 6; ++t) {
-    auto from_shim = stream.push_fine(dataset.frame(t));
-    auto from_engine = engine.push(id, dataset.frame(t));
-    ASSERT_EQ(from_shim.has_value(), from_engine.has_value());
-    if (from_shim) {
-      expect_bitwise(*from_shim, *from_engine, "push_fine vs engine session");
-    }
-  }
-  EXPECT_EQ(stream.inference_count(), 4);
+  config.block = -1;
+  EXPECT_THROW((void)engine.open_session(config), ContractViolation);
+  EXPECT_EQ(engine.session_count(), 0);
+  config.block = 3;
+  (void)engine.open_session(config);
+  EXPECT_EQ(engine.session_count(), 1);
 }
 
 TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {

@@ -1,13 +1,12 @@
-// Tests for the streaming inference engine and pipeline checkpointing —
-// the Section-6 deployment surface.
+// Tests for pipeline checkpointing — how a generator trained offline is
+// shipped to the Section-6 gateway. Live serving itself is covered by
+// test_serving (Engine sessions).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
-#include "src/common/check.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/core/streaming.hpp"
 #include "src/data/milan.hpp"
 #include "src/metrics/metrics.hpp"
 
@@ -37,62 +36,6 @@ PipelineConfig small_pipeline_config() {
   config.pretrain_steps = 20;
   config.gan_rounds = 0;
   return config;
-}
-
-TEST(StreamingInferencer, WarmsUpThenEmitsEveryInterval) {
-  data::TrafficDataset dataset = small_dataset();
-  MtsrPipeline pipeline(small_pipeline_config(), dataset);
-  StreamingInferencer stream = StreamingInferencer::from_dataset(
-      pipeline.generator(), pipeline.window_layout(), dataset, 8, 4);
-
-  EXPECT_EQ(stream.temporal_length(), 3);
-  EXPECT_EQ(stream.frames_until_ready(), 3);
-
-  // First S-1 frames warm the ring buffer without output.
-  EXPECT_FALSE(stream.push_fine(dataset.frame(0)).has_value());
-  EXPECT_FALSE(stream.push_fine(dataset.frame(1)).has_value());
-  EXPECT_EQ(stream.frames_until_ready(), 1);
-
-  // From the S-th frame on, every interval yields a prediction.
-  for (std::int64_t t = 2; t < 6; ++t) {
-    auto prediction = stream.push_fine(dataset.frame(t));
-    ASSERT_TRUE(prediction.has_value());
-    EXPECT_EQ(prediction->shape(), dataset.frame(t).shape());
-    EXPECT_TRUE(prediction->all_finite());
-  }
-  EXPECT_EQ(stream.inference_count(), 4);
-}
-
-TEST(StreamingInferencer, MatchesOfflinePipelinePrediction) {
-  // The live path must produce exactly what the offline pipeline's stitched
-  // prediction produces for the same frame history.
-  data::TrafficDataset dataset = small_dataset(181);
-  PipelineConfig config = small_pipeline_config();
-  config.stitch_stride = 4;
-  MtsrPipeline pipeline(config, dataset);
-  pipeline.train_pretrain_only();
-
-  StreamingInferencer stream = StreamingInferencer::from_dataset(
-      pipeline.generator(), pipeline.window_layout(), dataset, 8, 4);
-  std::optional<Tensor> live;
-  const std::int64_t t = 5;
-  for (std::int64_t i = t - 2; i <= t; ++i) {
-    live = stream.push_fine(dataset.frame(i));
-  }
-  ASSERT_TRUE(live.has_value());
-  Tensor offline = pipeline.predict_frame(t);
-  for (std::int64_t i = 0; i < offline.size(); ++i) {
-    EXPECT_NEAR(live->flat(i), offline.flat(i), 1e-2);
-  }
-}
-
-TEST(StreamingInferencer, RejectsWrongGeometry) {
-  data::TrafficDataset dataset = small_dataset(182);
-  MtsrPipeline pipeline(small_pipeline_config(), dataset);
-  StreamingInferencer stream = StreamingInferencer::from_dataset(
-      pipeline.generator(), pipeline.window_layout(), dataset, 8, 4);
-  EXPECT_THROW((void)stream.push_fine(Tensor(Shape{8, 8})),
-               ContractViolation);
 }
 
 TEST(PipelineCheckpoint, SaveLoadRestoresPredictions) {

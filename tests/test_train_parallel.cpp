@@ -1,22 +1,27 @@
 // Tests for the deterministic data-parallel training machinery: replicated
 // GAN/SRCNN train steps must be bit-identical across replica counts, pool
-// sizes and shard counts; the single-slice replicated step must match the
-// legacy serial step exactly; replica worker arenas must reach a
-// zero-growth steady state; and the counter-derived RNG streams must be
-// draw-order independent.
+// sizes and shard counts; the whole-batch setting (replicas = -1) must
+// match a plain forward/loss/backward/Adam loop exactly; replica worker
+// arenas must reach a zero-growth steady state; and the counter-derived
+// RNG streams must be draw-order independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "src/baselines/srcnn.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/workspace.hpp"
 #include "src/core/gan_trainer.hpp"
 #include "src/data/milan.hpp"
 #include "src/data/probes.hpp"
+#include "src/nn/loss.hpp"
+#include "src/nn/optimizer.hpp"
 #include "src/nn/replica.hpp"
+#include "src/tensor/tensor_ops.hpp"
 
 namespace mtsr::core {
 namespace {
@@ -184,25 +189,66 @@ TEST(TrainParallel, GradientsBitIdenticalAcrossReplicaCounts) {
   }
 }
 
-TEST(TrainParallel, LegacySerialMatchesSingleSliceReplicated) {
+TEST(TrainParallel, WholeBatchMatchesPlainStep) {
   PoolGuard guard;
   Fixture f;
-  // Batches under 4 samples stay whole (train_slice_count == 1): the
-  // replicated step then runs one slice through slot 0 and must reproduce
-  // the legacy whole-batch serial step bit for bit.
-  ASSERT_EQ(nn::train_slice_count(2), 1);
-  const TrainResult legacy =
-      run_training(f, /*replicas=*/-1, 1, 1, /*batch_size=*/2, 3, 2);
-  const TrainResult sliced =
-      run_training(f, /*replicas=*/1, 1, 1, 2, 3, 2);
-  ASSERT_EQ(legacy.g_params.size(), sliced.g_params.size());
-  for (std::size_t i = 0; i < legacy.g_params.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(legacy.g_params[i], sliced.g_params[i]))
-        << "generator parameter " << i << " diverged from legacy";
+  set_num_threads(2);
+  constexpr int kBatch = 8;
+  constexpr int kSteps = 3;
+  GanTrainerConfig config;
+  config.batch_size = kBatch;
+  config.learning_rate = 1e-3f;
+  config.seed = 77;
+  config.replicas = -1;  // whole batch: one slice, inline
+
+  Rng rng_trained(903);
+  ZipNet trained(f.generator_config(), rng_trained);
+  Discriminator d(f.discriminator_config(), rng_trained);
+  GanTrainer trainer(trained, d, config);
+  const std::vector<double> losses = trainer.pretrain(f.source, kSteps);
+  ASSERT_EQ(losses.size(), static_cast<std::size_t>(kSteps));
+
+  // The same steps written out: sample k of the run comes from stream k of
+  // the seed, then one whole-batch forward, mse_loss, backward and Adam
+  // step.
+  Rng rng_plain(903);
+  ZipNet plain(f.generator_config(), rng_plain);
+  nn::Adam adam(plain.parameters(), config.learning_rate);
+  const Rng streams(config.seed);
+  for (int step = 0; step < kSteps; ++step) {
+    std::vector<Tensor> inputs, targets;
+    for (int b = 0; b < kBatch; ++b) {
+      Rng sample_rng =
+          streams.stream(static_cast<std::uint64_t>(step * kBatch + b));
+      data::Sample sample = f.source(sample_rng);
+      inputs.push_back(std::move(sample.input));
+      targets.push_back(std::move(sample.target));
+    }
+    Workspace::Scope scope(Workspace::tls());
+    Tensor pred = plain.forward(stack0(inputs), /*training=*/true);
+    auto [loss, grad] = nn::mse_loss(pred, stack0(targets));
+    adam.zero_grad();
+    plain.backward(grad);
+    adam.step();
+    EXPECT_EQ(loss, losses[static_cast<std::size_t>(step)]) << "step " << step;
   }
-  for (std::size_t i = 0; i < legacy.d_params.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(legacy.d_params[i], sliced.d_params[i]))
-        << "discriminator parameter " << i << " diverged from legacy";
+
+  const auto trained_params = trained.parameters();
+  const auto plain_params = plain.parameters();
+  ASSERT_EQ(trained_params.size(), plain_params.size());
+  for (std::size_t i = 0; i < plain_params.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(trained_params[i]->value, plain_params[i]->value))
+        << "generator parameter " << i << " diverged";
+    EXPECT_TRUE(bitwise_equal(trained_params[i]->grad, plain_params[i]->grad))
+        << "generator gradient " << i << " diverged";
+  }
+  const auto trained_buffers = trained.buffers();
+  const auto plain_buffers = plain.buffers();
+  ASSERT_EQ(trained_buffers.size(), plain_buffers.size());
+  for (std::size_t i = 0; i < plain_buffers.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(*trained_buffers[i].second,
+                              *plain_buffers[i].second))
+        << "buffer " << plain_buffers[i].first << " diverged";
   }
 }
 
@@ -236,24 +282,31 @@ TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
   }
 }
 
-TEST(TrainParallel, ResolveTrainReplicas) {
+TEST(TrainParallel, ResolveTrainSplit) {
   PoolGuard guard;
   ASSERT_EQ(unsetenv("MTSR_TRAIN_REPLICAS"), 0);
-  EXPECT_EQ(nn::resolve_train_replicas(-1), 0);  // explicit legacy
-  EXPECT_EQ(nn::resolve_train_replicas(3), 3);   // explicit worker count
+  auto split = [](int configured, std::int64_t batch) {
+    const nn::TrainSplit s = nn::resolve_train_split(configured, batch);
+    return std::pair<int, int>(s.slices, s.workers);
+  };
+  using P = std::pair<int, int>;        // (slices, workers)
+  EXPECT_EQ(split(-1, 8), P(1, 1));     // whole batch, inline
+  EXPECT_EQ(split(3, 8), P(4, 3));      // explicit worker count
+  EXPECT_EQ(split(3, 2), P(1, 3));      // batches under 4 stay whole
 
   set_num_threads(2);
   set_num_shards(1);
-  // Auto never topology-selects the legacy path: that would make trained
-  // parameters depend on the shard count. Single shard -> one sliced
-  // replica (bit-identical to any other replica count).
-  EXPECT_EQ(nn::resolve_train_replicas(0), 1);
+  // Auto never picks whole-batch from topology: that would make trained
+  // parameters depend on the shard count. Single shard -> one worker over
+  // the sliced step (bit-identical to any other worker count).
+  EXPECT_EQ(split(0, 8), P(4, 1));
   set_num_shards(2);
-  EXPECT_EQ(nn::resolve_train_replicas(0), 2);  // one replica per shard
+  EXPECT_EQ(split(0, 8), P(4, 2));      // one worker per shard
 
   ASSERT_EQ(setenv("MTSR_TRAIN_REPLICAS", "5", 1), 0);
-  EXPECT_EQ(nn::resolve_train_replicas(0), 5);  // env beats topology
-  EXPECT_EQ(nn::resolve_train_replicas(1), 1);  // config beats env
+  EXPECT_EQ(split(0, 8), P(4, 5));      // env beats topology
+  EXPECT_EQ(split(1, 8), P(4, 1));      // config beats env
+  EXPECT_EQ(split(-1, 8), P(1, 1));     // and env never slices -1
   ASSERT_EQ(unsetenv("MTSR_TRAIN_REPLICAS"), 0);
 }
 
