@@ -97,21 +97,19 @@ BENCHMARK(BM_GemmU8S8)->Arg(8192)->Arg(32768);
 // Forced-level variants of BM_GemmU8S8 so the VNNI-vs-maddubs comparison
 // is interleaved in one binary regardless of what the production dispatch
 // selects. Skipped (not failed) on hosts without the level.
-void gemm_u8s8_forced_bench(benchmark::State& state, const char* level,
-                            bool full_range) {
+void gemm_u8s8_forced_bench(benchmark::State& state, const char* level) {
   const auto n = state.range(0);
   Rng rng(7);
   const std::int64_t k = 288, o = 32;
   const std::int64_t kpad = (k + 3) / 4 * 4;
   std::vector<std::uint8_t> a(static_cast<std::size_t>(n * kpad));
   for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-  const int qmax =
-      full_range ? quant::kWeightQmaxFull : quant::kWeightQmax;
   std::vector<std::int8_t> b(static_cast<std::size_t>(k * o));
   for (auto& v : b) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-qmax, qmax));
+    v = static_cast<std::int8_t>(
+        rng.uniform_int(-quant::kWeightQmax, quant::kWeightQmax));
   }
-  const PackedInt8B packed = pack_b_s8(b.data(), k, o, full_range);
+  const PackedInt8B packed = pack_b_s8(b.data(), k, o);
   std::vector<float> col_scale(static_cast<std::size_t>(packed.npad), 0.01f);
   std::vector<float> bias(static_cast<std::size_t>(packed.npad), 0.5f);
   std::vector<float> c(static_cast<std::size_t>(n * packed.npad));
@@ -129,19 +127,14 @@ void gemm_u8s8_forced_bench(benchmark::State& state, const char* level,
 }
 
 void BM_GemmU8S8ForcedAvx512(benchmark::State& state) {
-  gemm_u8s8_forced_bench(state, "avx512", /*full_range=*/false);
+  gemm_u8s8_forced_bench(state, "avx512");
 }
 BENCHMARK(BM_GemmU8S8ForcedAvx512)->Arg(8192)->Arg(32768);
 
 void BM_GemmU8S8ForcedVnni(benchmark::State& state) {
-  gemm_u8s8_forced_bench(state, "vnni", /*full_range=*/false);
+  gemm_u8s8_forced_bench(state, "vnni");
 }
 BENCHMARK(BM_GemmU8S8ForcedVnni)->Arg(8192)->Arg(32768);
-
-void BM_GemmU8S8ForcedVnniFullRange(benchmark::State& state) {
-  gemm_u8s8_forced_bench(state, "vnni", /*full_range=*/true);
-}
-BENCHMARK(BM_GemmU8S8ForcedVnniFullRange)->Arg(8192)->Arg(32768);
 
 // Whole-batch conv forward: the batched im2col + one wide GEMM per step.
 void BM_Conv2dForwardBatched(benchmark::State& state) {

@@ -20,10 +20,10 @@ namespace mtsr::nn {
 /// output channel. Output spatial size: (H + 2p - k)/s + 1.
 ///
 /// Workspace lifetimes: forward retains the zero-padded input (direct
-/// convolution) or the whole-batch im2col matrix (strided and small-k
-/// convolutions) in the thread's arena; backward lowers or consumes it and
-/// rewinds. Inference loops that never call backward must run inside a
-/// Workspace::Scope.
+/// convolution) or the whole-batch im2col matrix (strided convolutions and
+/// those with C·k·k <= 32) in the thread's arena; backward lowers or
+/// consumes it and rewinds. Inference loops that never call backward must
+/// run inside a Workspace::Scope.
 class Conv2d final : public Layer {
  public:
   /// Constructs with He-normal weights and zero bias.

@@ -79,6 +79,7 @@ ReplicaArenaStats capture_arena(int worker) {
   out.worker = worker;
   out.capacity_bytes = s.capacity_bytes;
   out.growth_events = s.growth_events;
+  out.peak_bytes = s.peak_bytes;
   return out;
 }
 

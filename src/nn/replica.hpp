@@ -100,6 +100,7 @@ struct ReplicaArenaStats {
   int worker = 0;
   std::int64_t capacity_bytes = 0;
   std::int64_t growth_events = 0;
+  std::int64_t peak_bytes = 0;  ///< high-water mark of live bytes
 };
 
 /// Runs `body(slice)` for every slice in [0, slices), each under

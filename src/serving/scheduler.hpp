@@ -36,13 +36,10 @@
 //    size, overlap on or off;
 //  * dedup'd consumers scatter the same memoised rows: bitwise-equal
 //    frames by construction;
-//  * int8 models fuse bit-identically (exact s32 accumulation makes the
-//    forward per-sample batch-invariant);
-//  * float models fuse at ≤1e-5 parity: a fused pass widens the lowered
-//    GEMMs, which moves SIMD tile boundaries and with them the float-add
-//    order inside shared reduction tails (measured ~4e-7 on the serving
-//    generator). For a fixed session composition the fused output is
-//    itself deterministic across pool sizes.
+//  * fused passes are bit-identical to unfused serving: int8 models
+//    accumulate in exact s32, and every float product runs one panel
+//    kernel whose per-element result is a fixed ascending-k fold, so a
+//    window's output does not depend on which windows share its pass.
 //
 // Threading: the scheduler is topology-aware. Sessions are assigned to
 // pool shards at open time (stable stream hash for fan-out consumers, so

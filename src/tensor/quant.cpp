@@ -157,8 +157,8 @@ void quantize_batch_transpose_u8(const float* src, std::int64_t n,
 namespace {
 
 // Quantisation MSE of one channel row at clip threshold `clip`.
-double channel_quant_mse(const float* row, std::int64_t n, float clip,
-                         int qmax) {
+double channel_quant_mse(const float* row, std::int64_t n, float clip) {
+  constexpr int qmax = kWeightQmax;
   const float scale = clip / static_cast<float>(qmax);
   const float inv = 1.f / scale;
   double mse = 0.0;
@@ -175,11 +175,10 @@ double channel_quant_mse(const float* row, std::int64_t n, float clip,
 
 void quantize_weights_per_channel(const float* w, std::int64_t channels,
                                   std::int64_t per_channel, std::int8_t* wq,
-                                  float* scales, bool mse_clip, int qmax) {
+                                  float* scales, bool mse_clip) {
   check(channels > 0 && per_channel > 0,
         "quantize_weights_per_channel: empty weight");
-  check(qmax > 0 && qmax <= kWeightQmaxFull,
-        "quantize_weights_per_channel: qmax outside (0, 127]");
+  constexpr int qmax = kWeightQmax;
   parallel_for(channels, [&](std::int64_t o) {
     const float* row = w + o * per_channel;
     float amax = 0.f;
@@ -191,12 +190,11 @@ void quantize_weights_per_channel(const float* w, std::int64_t channels,
       // Grid-search the clip threshold: a channel whose range is set by a
       // single outlier tap trades a bounded clip error on that tap for a
       // finer step on the bulk.
-      double best = channel_quant_mse(row, per_channel, amax, qmax);
+      double best = channel_quant_mse(row, per_channel, amax);
       for (int step = 1; step <= 10; ++step) {
         const float candidate =
             amax * (1.f - 0.05f * static_cast<float>(step));
-        const double mse =
-            channel_quant_mse(row, per_channel, candidate, qmax);
+        const double mse = channel_quant_mse(row, per_channel, candidate);
         if (mse < best) {
           best = mse;
           clip = candidate;

@@ -35,14 +35,6 @@ namespace mtsr::quant {
 /// SIMD kernels bit-exact against the scalar reference.
 inline constexpr int kWeightQmax = 63;
 
-/// Opt-in full int8 weight range for kernels that fold u8·s8 groups
-/// straight into s32 accumulators (the scalar reference and the VNNI
-/// vpdpbusd path, which needs no maddubs saturation headroom:
-/// 255·127·4 = 129540 fits an s32 lane). Chosen at pack time
-/// (pack_b_s8 full_range) — off by default so the cross-ISA bit-exactness
-/// contract of ±63 is unchanged.
-inline constexpr int kWeightQmaxFull = 127;
-
 /// Per-tensor asymmetric uint8 activation quantisation parameters.
 struct ActQuant {
   float scale = 1.f;
@@ -114,21 +106,18 @@ void quantize_batch_transpose_u8(const float* src, std::int64_t n,
                                  std::int64_t row_stride);
 
 /// Per-output-channel symmetric weight quantisation: `w` is row-major
-/// (channels × per_channel); row o is quantised to ±qmax with its own
-/// scale written to scales[o]. A zero row gets scale 1 (all-zero
-/// quantised values). `qmax` defaults to kWeightQmax (the saturation-free
-/// contract); pass kWeightQmaxFull for packs destined for full-range
-/// (scalar/VNNI) dispatch.
+/// (channels × per_channel); row o is quantised to ±kWeightQmax with its
+/// own scale written to scales[o]. A zero row gets scale 1 (all-zero
+/// quantised values).
 ///
 /// With `mse_clip` set (the layer conversion default) each channel's clip
 /// threshold is grid-searched below max|w| for the minimum quantisation
 /// MSE: a channel whose range is stretched by one outlier tap keeps a fine
 /// step for the bulk and accepts a bounded clip error on the outlier.
-/// Without it the scale is exactly max|w| / qmax (every value round-trips
-/// within scale/2 — the documented contract).
+/// Without it the scale is exactly max|w| / kWeightQmax (every value
+/// round-trips within scale/2 — the documented contract).
 void quantize_weights_per_channel(const float* w, std::int64_t channels,
                                   std::int64_t per_channel, std::int8_t* wq,
-                                  float* scales, bool mse_clip = false,
-                                  int qmax = kWeightQmax);
+                                  float* scales, bool mse_clip = false);
 
 }  // namespace mtsr::quant

@@ -44,33 +44,35 @@ Shape with_spatial(const Shape& s, std::int64_t rows, std::int64_t cols) {
 // ---- Packed-B blocked GEMM -------------------------------------------------
 //
 // C = A * B runs over (k-tile, j-tile) panels of B packed into Workspace
-// scratch: each panel is a kKc×kNc tile copied once into a contiguous,
-// cache-line-aligned span, then streamed through L1/L2 by every row group
-// that needs it. Tall products (m >= n) pack all panels up front and share
-// them across the pool's row chunks; wide products (the conv lowerings:
-// short A, enormous B) split over panel-aligned column chunks, each packing
-// its own panels exactly once.
+// scratch: each panel is a kKc×nc tile (nc = min(n, kNc), the product's own
+// width up to kNc) copied once into a contiguous span, then streamed through
+// L1/L2 by every row group that needs it. Tall products (m >= n) pack all
+// panels up front and share them across the pool's row chunks; wide
+// products (the conv lowerings: short A, enormous B) split over
+// panel-aligned column chunks, each packing its own panels exactly once.
+// Every float product — any k, and the TN and NT forms — runs here.
 //
 // Work is split so every output element is owned by exactly one thread and
 // accumulates over k in a fixed ascending order — results are bit-identical
-// for every pool size.
+// for every pool size, and a column's value does not depend on how many
+// other columns (windows of a batched pass) share the product.
 
 constexpr std::int64_t kKc = 256;  // k rows per panel (A quad pack: 4 KB)
-constexpr std::int64_t kNc = 512;  // j columns per panel (panel: 512 KB, L2-resident)
+constexpr std::int64_t kNc = 512;  // max columns per panel (L2-resident)
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
 // Copies B[kk0:kk1, j0:j1] (row-major, leading dimension ldb) into `panel`
-// with a fixed row stride of kNc.
+// with row stride `ld`.
 void pack_b_panel(const float* pb, std::int64_t ldb, std::int64_t kk0,
                   std::int64_t kk1, std::int64_t j0, std::int64_t j1,
-                  float* panel) {
+                  std::int64_t ld, float* panel) {
   const std::size_t bytes =
       static_cast<std::size_t>(j1 - j0) * sizeof(float);
   for (std::int64_t kk = kk0; kk < kk1; ++kk) {
-    std::memcpy(panel + (kk - kk0) * kNc, pb + kk * ldb + j0, bytes);
+    std::memcpy(panel + (kk - kk0) * ld, pb + kk * ldb + j0, bytes);
   }
 }
 
@@ -83,29 +85,19 @@ constexpr std::int64_t kMr = 16;
 // (8×32 register tile) and AVX2 (6×16) kernels below are selected once per
 // process by CPUID, capped by the MTSR_SIMD environment variable; the
 // portable generic kernel is the fallback everywhere else.
-//
-// The small-k and NT kernels are compiler-vectorised per ISA through
-// target_clones instead. target_clones is disabled under sanitizers
-// (ifunc resolution order) and on non-x86 targets.
-#if defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-#define MTSR_SIMD_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define MTSR_SIMD_CLONES
-#endif
 
 // Every panel microkernel computes C[i0:i1, j0:j1] += A[i0:i1, kk0:kk1] · B
 // and finds B through a row accessor: rows.row(kk) is k-tile row kk0 + kk
 // from column j0 on, and rows.ahead(kk) the row four steps later (the
 // prefetch target). The packed GEMM passes PanelRows, a packed panel with
-// rows kNc apart; the direct convolution passes TapRows, the padded input
+// rows `ld` apart; the direct convolution passes TapRows, the padded input
 // with one row per tap (conv_stride1_into). Each kernel is one template,
 // so both instantiations run the same arithmetic on the same elements.
 struct PanelRows {
   const float* b;
-  const float* row(std::int64_t kk) const { return b + kk * kNc; }
-  const float* ahead(std::int64_t kk) const { return b + (kk + 4) * kNc; }
+  std::int64_t ld;
+  const float* row(std::int64_t kk) const { return b + kk * ld; }
+  const float* ahead(std::int64_t kk) const { return b + (kk + 4) * ld; }
 };
 
 struct TapRows {
@@ -614,100 +606,25 @@ const FloatPanelKernel& float_panel_kernel() {
 
 // Minimum rows per chunk in the tall dispatch: amortises the A-tile packing.
 constexpr std::int64_t kRowGrain = 16;
-// Minimum columns per chunk in the small-k column dispatch.
-constexpr std::int64_t kColGrain = 128;
-
-// Products with only a few accumulation terms per output element cannot
-// amortise panel packing or the register-tile load/store, so they stream B
-// in place and accumulate straight into C. Dispatch is a pure function of
-// k, so determinism across pool sizes is unaffected.
-constexpr std::int64_t kSmallK = 32;
-
-MTSR_SIMD_CLONES
-void gemm_nn_small_k_block(const float* pa, const float* pb, float* pc,
-                           std::int64_t k, std::int64_t ldb,
-                           std::int64_t ldc, std::int64_t i0, std::int64_t i1,
-                           std::int64_t j0, std::int64_t j1,
-                           bool accumulate) {
-  alignas(64) float apack[4 * kSmallK];
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(j1 - j0) * sizeof(float);
-  std::int64_t i = i0;
-  for (; i + 4 <= i1; i += 4) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      float* q = apack + kk * 4;
-      q[0] = pa[(i + 0) * k + kk];
-      q[1] = pa[(i + 1) * k + kk];
-      q[2] = pa[(i + 2) * k + kk];
-      q[3] = pa[(i + 3) * k + kk];
-    }
-    float* c0 = pc + (i + 0) * ldc;
-    float* c1 = pc + (i + 1) * ldc;
-    float* c2 = pc + (i + 2) * ldc;
-    float* c3 = pc + (i + 3) * ldc;
-    if (!accumulate) {
-      std::memset(c0 + j0, 0, row_bytes);
-      std::memset(c1 + j0, 0, row_bytes);
-      std::memset(c2 + j0, 0, row_bytes);
-      std::memset(c3 + j0, 0, row_bytes);
-    }
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float* q = apack + kk * 4;
-      const float a0 = q[0], a1 = q[1], a2 = q[2], a3 = q[3];
-      if (a0 == 0.f && a1 == 0.f && a2 == 0.f && a3 == 0.f) continue;
-      const float* brow = pb + kk * ldb;
-      for (std::int64_t j = j0; j < j1; ++j) {
-        const float bkj = brow[j];
-        c0[j] += a0 * bkj;
-        c1[j] += a1 * bkj;
-        c2[j] += a2 * bkj;
-        c3[j] += a3 * bkj;
-      }
-    }
-  }
-  for (; i < i1; ++i) {  // remainder rows
-    float* crow = pc + i * ldc;
-    if (!accumulate) std::memset(crow + j0, 0, row_bytes);
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.f) continue;
-      const float* brow = pb + kk * ldb;
-      for (std::int64_t j = j0; j < j1; ++j) crow[j] += aik * brow[j];
-    }
-  }
-}
 
 // Parallel packed-B driver for C = A * B (all row-major). Splits over rows
 // when C is tall, over B panels when C is wide (conv lowering produces
 // short-and-wide products), so the pool stays busy either way. `kernel` is
 // the panel microkernel resolved by the caller (production dispatch or the
-// forced-kernel seam); the small-k path is kernel-independent.
+// forced-kernel seam).
 void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
              std::int64_t k, std::int64_t n, bool accumulate,
              FloatPanelFn<PanelRows> kernel) {
-  if (k <= kSmallK) {  // degenerate k: no packing, no workspace
-    if (m >= n) {
-      parallel_for_grain(m, kRowGrain,
-                         [&](std::int64_t i0, std::int64_t i1, int) {
-        gemm_nn_small_k_block(pa, pb, pc, k, n, n, i0, i1, 0, n, accumulate);
-      });
-    } else {
-      parallel_for_grain(n, kColGrain,
-                         [&](std::int64_t j0, std::int64_t j1, int) {
-        gemm_nn_small_k_block(pa, pb, pc, k, n, n, 0, m, j0, j1, accumulate);
-      });
-    }
-    return;
-  }
   Workspace& ws = Workspace::tls();
   Workspace::Scope scratch(ws);
   const std::int64_t nkt = ceil_div(k, kKc);
   const std::int64_t njt = ceil_div(n, kNc);
+  const std::int64_t nc = std::min(n, kNc);  // panel row stride
   // jt-major so one column block's k-panels are contiguous; k-tiles within
   // a block pack back-to-back (no padding between short edge tiles).
-  float* packed = ws.alloc(njt * k * kNc);
+  float* packed = ws.alloc(njt * k * nc);
   const auto panel_at = [&](std::int64_t kk0, std::int64_t jt) {
-    return packed + (jt * k + kk0) * kNc;
+    return packed + (jt * k + kk0) * nc;
   };
 
   if (m >= n) {
@@ -716,7 +633,7 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
     parallel_for(nkt * njt, [&](std::int64_t p) {
       const std::int64_t jt = p / nkt, kk0 = (p % nkt) * kKc;
       pack_b_panel(pb, n, kk0, std::min(k, kk0 + kKc), jt * kNc,
-                   std::min(n, (jt + 1) * kNc), panel_at(kk0, jt));
+                   std::min(n, (jt + 1) * kNc), nc, panel_at(kk0, jt));
     });
     parallel_for_grain(m, kRowGrain,
                        [&](std::int64_t i0, std::int64_t i1, int) {
@@ -727,7 +644,7 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
       for (std::int64_t jt = 0; jt < njt; ++jt) {
         const std::int64_t j0 = jt * kNc, j1 = std::min(n, j0 + kNc);
         for (std::int64_t kk0 = 0; kk0 < k; kk0 += kKc) {
-          kernel(pa, k, PanelRows{panel_at(kk0, jt)}, pc, n, i0, i1, kk0,
+          kernel(pa, k, PanelRows{panel_at(kk0, jt), nc}, pc, n, i0, i1, kk0,
                  std::min(k, kk0 + kKc), j0, j1);
         }
       }
@@ -748,48 +665,11 @@ void gemm_nn(const float* pa, const float* pb, float* pc, std::int64_t m,
         for (std::int64_t kk0 = 0; kk0 < k; kk0 += kKc) {
           float* panel = panel_at(kk0, jt);
           const std::int64_t kk1 = std::min(k, kk0 + kKc);
-          pack_b_panel(pb, n, kk0, kk1, j0, j1, panel);
-          kernel(pa, k, PanelRows{panel}, pc, n, 0, m, kk0, kk1, j0, j1);
+          pack_b_panel(pb, n, kk0, kk1, j0, j1, nc, panel);
+          kernel(pa, k, PanelRows{panel, nc}, pc, n, 0, m, kk0, kk1, j0, j1);
         }
       }
     });
-  }
-}
-
-// C[i0:i1, j0:j1] with C[i,j] (+)= dot(A row i, B row j); both rows are
-// contiguous of length k, so B needs no packing. Fixed four-lane reduction
-// over k (lane l sums k ≡ l mod 4, lanes combined in order) — deterministic
-// in k alone.
-MTSR_SIMD_CLONES
-void gemm_nt_block(const float* pa, const float* pb, float* pc,
-                   std::int64_t k, std::int64_t ldc, std::int64_t i0,
-                   std::int64_t i1, std::int64_t j0, std::int64_t j1,
-                   bool accumulate) {
-  constexpr std::int64_t kJt = 16;  // B rows kept hot per tile
-  for (std::int64_t jj0 = j0; jj0 < j1; jj0 += kJt) {
-    const std::int64_t jj1 = std::min(j1, jj0 + kJt);
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const float* arow = pa + i * k;
-      float* crow = pc + i * ldc;
-      for (std::int64_t j = jj0; j < jj1; ++j) {
-        const float* brow = pb + j * k;
-        float acc0 = 0.f, acc1 = 0.f, acc2 = 0.f, acc3 = 0.f;
-        std::int64_t kk = 0;
-        for (; kk + 4 <= k; kk += 4) {
-          acc0 += arow[kk + 0] * brow[kk + 0];
-          acc1 += arow[kk + 1] * brow[kk + 1];
-          acc2 += arow[kk + 2] * brow[kk + 2];
-          acc3 += arow[kk + 3] * brow[kk + 3];
-        }
-        float acc = (acc0 + acc1) + (acc2 + acc3);
-        for (; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        if (accumulate) {
-          crow[j] += acc;
-        } else {
-          crow[j] = acc;
-        }
-      }
-    }
   }
 }
 
@@ -972,8 +852,7 @@ __attribute__((target("avx512f,avx512bw"))) void u8s8_block_avx512(
 }
 
 // VNNI kernel: vpdpbusd folds each 4-byte u8·s8 group straight into the
-// s32 accumulator — no intermediate i16 stage, so it is exact for the full
-// ±127 weight range, not just the maddubs-safe ±63. A 4-row × 32-column
+// s32 accumulator — no intermediate i16 stage. A 4-row × 32-column
 // register tile (eight zmm accumulators; two 64-byte packed-B loads + four
 // broadcasts + eight vpdpbusd per k-group), a 16-column secondary loop,
 // and the scalar kernel for the column tail — identical s32 accumulators
@@ -1059,10 +938,6 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void u8s8_block_vnni(
 struct U8S8Kernel {
   U8S8BlockFn fn = &u8s8_block_scalar;
   const char* name = "scalar";
-  // Exact for ±127 ("full range") packs: true for the kernels that fold
-  // u8·s8 groups straight into s32 (scalar, VNNI); false for the maddubs
-  // kernels, whose i16 pair stage is only saturation-free within ±63.
-  bool full_range_safe = true;
 };
 
 // Strict level lookup for the forced-kernel testing seam: resolves exactly
@@ -1075,15 +950,15 @@ bool u8s8_kernel_for_level(std::string_view level, U8S8Kernel* out) {
 #if defined(__x86_64__) && defined(__GNUC__)
   if (level == "avx2" && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("fma")) {
-    *out = {&u8s8_block_avx2, "avx2", false};
+    *out = {&u8s8_block_avx2, "avx2"};
     return true;
   }
   if (level == "avx512" && __builtin_cpu_supports("avx512bw")) {
-    *out = {&u8s8_block_avx512, "avx512", false};
+    *out = {&u8s8_block_avx512, "avx512"};
     return true;
   }
   if (level == "vnni" && __builtin_cpu_supports("avx512vnni")) {
-    *out = {&u8s8_block_vnni, "vnni", true};
+    *out = {&u8s8_block_vnni, "vnni"};
     return true;
   }
 #endif
@@ -1105,14 +980,14 @@ U8S8Kernel resolve_u8s8_kernel() {
   const bool allow_avx512 = allow_vnni || want == "avx512";
   const bool allow_avx2 = allow_avx512 || want == "avx2";
   if (allow_vnni && __builtin_cpu_supports("avx512vnni")) {
-    return {&u8s8_block_vnni, "vnni", true};
+    return {&u8s8_block_vnni, "vnni"};
   }
   if (allow_avx512 && __builtin_cpu_supports("avx512bw")) {
-    return {&u8s8_block_avx512, "avx512", false};
+    return {&u8s8_block_avx512, "avx512"};
   }
   if (allow_avx2 && __builtin_cpu_supports("avx2") &&
       __builtin_cpu_supports("fma")) {
-    return {&u8s8_block_avx2, "avx2", false};
+    return {&u8s8_block_avx2, "avx2"};
   }
 #endif
   return {};
@@ -1123,10 +998,7 @@ const U8S8Kernel& u8s8_kernel() {
   return kernel;
 }
 
-// Shared driver behind gemm_u8s8 and the forced-kernel seam. A full-range
-// (±127) pack demotes maddubs kernels to the scalar kernel — their i16
-// pair stage could saturate — while scalar/VNNI run as chosen; both are
-// exact in s32, so results stay bit-identical either way.
+// Shared driver behind gemm_u8s8 and the forced-kernel seam.
 void gemm_u8s8_dispatch(const std::uint8_t* a, std::int64_t lda,
                         const PackedInt8B& b, std::int64_t m,
                         const QuantEpilogue& ep, float* c, std::int64_t ldc,
@@ -1140,9 +1012,6 @@ void gemm_u8s8_dispatch(const std::uint8_t* a, std::int64_t lda,
   // Padded destination: compute the zero-pad columns too, so the vector
   // path never falls back to the scalar column tail.
   const std::int64_t jspan = ldc >= b.npad ? b.npad : b.n;
-  const U8S8BlockFn fn = (b.full_range && !kernel.full_range_safe)
-                             ? &u8s8_block_scalar
-                             : kernel.fn;
   const std::int64_t kgroups = b.kpad() / 4;
   const std::int8_t* packed = b.data.data();
   const std::int32_t* colsum = b.colsum.data();
@@ -1150,32 +1019,28 @@ void gemm_u8s8_dispatch(const std::uint8_t* a, std::int64_t lda,
     // Tall C: split rows; every chunk streams the whole (small) packed B.
     parallel_for_grain(m, kRowGrain,
                        [&](std::int64_t i0, std::int64_t i1, int) {
-      fn(a, lda, packed, b.npad, kgroups, colsum, c, ldc, i0, i1, 0, jspan,
-         ep);
+      kernel.fn(a, lda, packed, b.npad, kgroups, colsum, c, ldc, i0, i1, 0,
+                jspan, ep);
     });
   } else {
     // Wide C: split 16-column blocks so SIMD chunks stay vector-aligned.
     const std::int64_t nblocks = (jspan + 15) / 16;
     parallel_for_grain(nblocks, 1, [&](std::int64_t t0, std::int64_t t1,
                                        int) {
-      fn(a, lda, packed, b.npad, kgroups, colsum, c, ldc, 0, m, t0 * 16,
-         std::min(jspan, t1 * 16), ep);
+      kernel.fn(a, lda, packed, b.npad, kgroups, colsum, c, ldc, 0, m,
+                t0 * 16, std::min(jspan, t1 * 16), ep);
     });
   }
 }
 
 }  // namespace
 
-PackedInt8B pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n,
-                      bool full_range) {
+PackedInt8B pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n) {
   check(k > 0 && n > 0, "pack_b_s8: empty matrix");
   PackedInt8B packed;
   packed.k = k;
   packed.n = n;
   packed.npad = (n + 15) / 16 * 16;
-  packed.full_range = full_range;
-  const int qmax =
-      full_range ? quant::kWeightQmaxFull : quant::kWeightQmax;
   const std::int64_t kgroups = packed.kpad() / 4;
   packed.data.assign(
       static_cast<std::size_t>(kgroups * packed.npad * 4), 0);
@@ -1185,11 +1050,9 @@ PackedInt8B pack_b_s8(const std::int8_t* b, std::int64_t k, std::int64_t n,
     const std::int64_t kg = kk / 4, kr = kk % 4;
     std::int8_t* prow = packed.data.data() + kg * packed.npad * 4 + kr;
     for (std::int64_t j = 0; j < n; ++j) {
-      check(brow[j] >= -qmax && brow[j] <= qmax,
-            full_range
-                ? "pack_b_s8: value outside the ±kWeightQmaxFull range"
-                : "pack_b_s8: value outside the ±kWeightQmax "
-                  "saturation-free weight range");
+      check(brow[j] >= -quant::kWeightQmax && brow[j] <= quant::kWeightQmax,
+            "pack_b_s8: value outside the ±kWeightQmax saturation-free "
+            "weight range");
       prow[j * 4] = brow[j];
       packed.colsum[static_cast<std::size_t>(j)] += brow[j];
     }
@@ -1262,17 +1125,18 @@ void matmul_tn_into(const float* a, const float* b, float* c, std::int64_t k,
 
 void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, bool accumulate) {
-  if (m >= n) {
-    parallel_for_grain(m, kRowGrain,
-                       [&](std::int64_t i0, std::int64_t i1, int) {
-      gemm_nt_block(a, b, c, k, n, i0, i1, 0, n, accumulate);
-    });
-  } else {
-    parallel_for_grain(n, kRowGrain,
-                       [&](std::int64_t j0, std::int64_t j1, int) {
-      gemm_nt_block(a, b, c, k, n, 0, m, j0, j1, accumulate);
-    });
-  }
+  // Computes Cᵀ (n×m) = B (n×k) · Aᵀ (k×m): B's rows are already the
+  // contiguous A operand, and the packed operand is the thin Aᵀ. Only A and
+  // C pass through workspace scratch; accumulation starts from C's own
+  // values, so each element is the panel kernel's fold seeded by c[i, j].
+  Workspace& ws = Workspace::tls();
+  Workspace::Scope scratch(ws);
+  float* at = ws.alloc(k * m);
+  float* ct = ws.alloc(n * m);
+  transpose_into(a, m, k, at);
+  if (accumulate) transpose_into(c, m, n, ct);
+  gemm_nn(b, at, ct, n, k, m, accumulate, float_panel_kernel().packed);
+  transpose_into(ct, n, m, c);
 }
 
 void transpose_into(const float* a, std::int64_t m, std::int64_t n,
@@ -1703,6 +1567,11 @@ namespace {
 // tiles run mostly full.
 constexpr std::int64_t kConvTaskCols = 256;
 
+// Stride-1 convolutions with at most this many lowered rows (C·taps) lower
+// instead of running direct: the direct path is bit-identical there too,
+// but its speed on so few taps per output is unmeasured.
+constexpr std::int64_t kDirectMinK = 32;
+
 }  // namespace
 
 void pad_volume_into(const float* pi, std::int64_t planes, std::int64_t d,
@@ -1729,7 +1598,7 @@ void pad_volume_into(const float* pi, std::int64_t planes, std::int64_t d,
 
 bool conv_stride1_direct(std::int64_t m, std::int64_t k,
                          std::int64_t positions) {
-  return k > kSmallK && m < positions;
+  return k > kDirectMinK && m < positions;
 }
 
 void conv_stride1_into(const float* xpad, std::int64_t n, std::int64_t c,

@@ -16,8 +16,10 @@
 // packed-B panel kernel on the shared thread pool (src/common/parallel.hpp):
 // the B matrix is packed once per (k-tile, j-tile) panel and shared across
 // row chunks, cutting DRAM traffic on the short-and-wide products conv
-// lowering produces. Every kernel preserves a fixed per-element accumulation
-// order, so results are bit-identical for every pool size.
+// lowering produces. Every float product, whatever its k and whichever
+// operand is transposed, runs that one kernel, whose per-element result is
+// a fixed ascending-k fold: bit-identical for every pool size and for
+// every split of the columns (windows) into products.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,8 @@ namespace mtsr {
 /// C = Aᵀ (k×m) * B (k×n); the transpose is never exposed to the caller.
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// C = A (m×k) * Bᵀ (n×k) without materialising Bᵀ.
+/// C = A (m×k) * Bᵀ (n×k), computed as Cᵀ = B·Aᵀ through the matmul
+/// kernel so that only A and C are transposed.
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Transpose of a rank-2 tensor.
@@ -52,7 +55,9 @@ void matmul_into(const float* a, const float* b, float* c, std::int64_t m,
 void matmul_tn_into(const float* a, const float* b, float* c, std::int64_t k,
                     std::int64_t m, std::int64_t n, bool accumulate = false);
 
-/// c = a (m×k) * bᵀ for b stored (n×k) row-major.
+/// c = a (m×k) * bᵀ for b stored (n×k) row-major. Uses transient
+/// Workspace scratch for aᵀ and cᵀ; with `accumulate` set each element's
+/// fold starts from its value in c.
 void matmul_nt_into(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n, bool accumulate = false);
 
@@ -95,31 +100,23 @@ void transpose_into(const float* a, std::int64_t m, std::int64_t n,
 /// s8 B matrix packed for gemm_u8s8: k-groups of 4 interleaved per column
 /// so the maddubs/vpdpbusd microkernels stream one contiguous load per 4
 /// k-steps. Values must lie within ±quant::kWeightQmax (checked at pack
-/// time) — the saturation-freedom contract of the maddubs paths — unless
-/// the pack was made with full_range set, which admits the full ±127 clip
-/// and restricts dispatch to the kernels that accumulate u8·s8 groups
-/// straight into s32 (scalar and VNNI).
+/// time) — the saturation-freedom contract of the maddubs paths.
 struct PackedInt8B {
   std::vector<std::int8_t> data;     ///< (kpad/4, npad, 4) s8, zero-padded
   std::vector<std::int32_t> colsum;  ///< per-column Σ_k b[k,j] (length npad)
   std::int64_t k = 0;                ///< logical row count
   std::int64_t n = 0;                ///< logical column count
   std::int64_t npad = 0;             ///< n rounded up to 16 columns
-  bool full_range = false;           ///< ±127 pack (scalar/VNNI only)
 
   [[nodiscard]] bool empty() const { return data.empty(); }
   /// k rounded up to 4: the minimum row stride (lda) of the A operand.
   [[nodiscard]] std::int64_t kpad() const { return (k + 3) / 4 * 4; }
 };
 
-/// Packs a row-major (k × n) s8 matrix. Throws when any value exceeds the
-/// admitted clip: ±quant::kWeightQmax by default, ±quant::kWeightQmaxFull
-/// with `full_range` set. Full-range packs are an opt-in for VNNI hosts —
-/// gemm_u8s8 demotes them to the scalar kernel when the process kernel is
-/// a maddubs path, so correctness never depends on the host ISA; the
-/// default ±63 mode keeps the cross-ISA bit-exactness contract unchanged.
+/// Packs a row-major (k × n) s8 matrix. Throws when any value exceeds
+/// ±quant::kWeightQmax.
 [[nodiscard]] PackedInt8B pack_b_s8(const std::int8_t* b, std::int64_t k,
-                                    std::int64_t n, bool full_range = false);
+                                    std::int64_t n);
 
 /// Fused epilogue of gemm_u8s8, applied per output element as
 ///   y = fmaf(col_scale[j], float(acc − a_zp·colsum[j]), bias ? bias[j] : 0)
@@ -167,8 +164,7 @@ void gemm_u8s8_ref(const std::uint8_t* a, std::int64_t lda,
 /// Testing seam: runs gemm_u8s8 with the microkernel of an explicit
 /// dispatch level ("scalar"/"sse2", "avx2", "avx512", "vnni") regardless
 /// of MTSR_SIMD. Returns false without touching `c` when this host cannot
-/// execute the requested level. Full-range packs demote maddubs levels to
-/// the scalar kernel exactly as the production dispatch does.
+/// execute the requested level.
 [[nodiscard]] bool gemm_u8s8_forced_kernel(const char* level,
                                            const std::uint8_t* a,
                                            std::int64_t lda,
@@ -274,9 +270,9 @@ void pad_volume_into(const float* input, std::int64_t planes, std::int64_t d,
 
 /// Whether conv_stride1_into computes a stride-1 convolution with m output
 /// channels, k = C·kd·kh·kw lowered rows and `positions` = N·od·oh·ow
-/// output positions: its lowered product must run the panel kernel
-/// (k > 32) over all m rows at once (m < positions, the wide driver).
-/// Other convolutions lower.
+/// output positions: k > 32 (fewer taps lower instead) and m < positions
+/// (the lowered product would run the wide driver over all m rows at
+/// once). Other convolutions lower.
 [[nodiscard]] bool conv_stride1_direct(std::int64_t m, std::int64_t k,
                                        std::int64_t positions);
 

@@ -3,7 +3,9 @@
 // "avx512"/"vnni") must be bit-identical across pool sizes {1, 2, hw} and
 // within 1e-5 relative of the naive i-k-j reference. Shapes cover the tall
 // and wide drivers, the k-tile (kKc = 256) and j-tile (kNc = 512)
-// boundaries, register-tile row remainders, and sub-vector column tails.
+// boundaries, panels narrower than kNc, products with only a few
+// accumulation terms (k <= 32), register-tile row remainders, and
+// sub-vector column tails.
 // The avx2 and avx512 kernels run the same single-rounded FMA fold and
 // must agree bit for bit; the generic kernel rounds the multiply and the
 // add separately, so it is held to the reference tolerance only.
@@ -33,13 +35,16 @@ struct MatmulCase {
 // Shapes chosen to exercise: 8/6-row register tiles plus 1..7-row
 // remainders, 32/16-column blocks plus masked/scalar tails, multiple
 // k-tiles (k > 256), multiple j-tiles (n > 512), and both the tall
-// (m >= n) and wide dispatch paths. All k > 32 so the panel kernel — not
-// the kernel-independent small-k path — is what runs.
+// (m >= n) and wide dispatch paths.
 constexpr MatmulCase kCases[] = {
     {64, 64, 64},   {37, 100, 53},  {130, 300, 17}, {5, 288, 700},
     {9, 64, 1200},  {61, 40, 61},   {16, 257, 48},  {3, 48, 513},
     // Few-row products (4×64 and 1×64 remainder tiles): the ZipNet convs.
     {1, 162, 800},  {4, 108, 2400}, {12, 144, 200}, {18, 108, 130},
+    // Few accumulation terms: the 3-D deconvolutions' Wᵀ·X (k = channels)
+    // and a rank-1 product, tall and wide.
+    {108, 4, 800},  {27, 1, 600},   {216, 8, 300},  {200, 16, 7},
+    {8, 32, 5},
 };
 
 const char* const kLevels[] = {"scalar", "sse2", "avx2", "avx512", "vnni"};

@@ -354,15 +354,6 @@ TEST(GemmU8S8, PackRejectsSaturationUnsafeWeights) {
   EXPECT_THROW((void)pack_b_s8(b.data(), 4, 4), ContractViolation);
 }
 
-TEST(GemmU8S8, FullRangePackAdmitsWiderWeights) {
-  std::vector<std::int8_t> b(16, 0);
-  b[3] = 127;
-  b[7] = -127;
-  const PackedInt8B packed = pack_b_s8(b.data(), 4, 4, /*full_range=*/true);
-  EXPECT_TRUE(packed.full_range);
-  EXPECT_EQ(packed.colsum[3], 127 - 127);
-}
-
 TEST(GemmU8S8, KernelNameIsKnown) {
   const std::string name = gemm_u8s8_kernel_name();
   EXPECT_TRUE(name == "scalar" || name == "avx2" || name == "avx512" ||
@@ -375,11 +366,8 @@ TEST(GemmU8S8, KernelNameIsKnown) {
 }
 
 // Every SIMD level this host can run must reproduce the scalar s32
-// reference bit-for-bit in the default ±63 mode; the levels that accept
-// full-range (±127) packs — scalar and VNNI — must agree bit-for-bit there
-// too, and a full-range pack pushed through a maddubs level must demote to
-// the scalar kernel (same bits) rather than saturate.
-TEST(GemmU8S8, ForcedKernelSweepBitExactInBothRanges) {
+// reference bit-for-bit.
+TEST(GemmU8S8, ForcedKernelSweepBitExact) {
   Rng rng(41);
   const GemmCase cases[] = {{5, 288, 96}, {64, 48, 16}, {7, 40, 33}};
   const char* levels[] = {"scalar", "sse2", "avx2", "avx512", "vnni"};
@@ -387,37 +375,33 @@ TEST(GemmU8S8, ForcedKernelSweepBitExactInBothRanges) {
     const std::int64_t kpad = (k + 3) / 4 * 4;
     std::vector<std::uint8_t> a(static_cast<std::size_t>(m * kpad));
     for (auto& v : a) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    for (const bool full_range : {false, true}) {
-      const int qmax =
-          full_range ? quant::kWeightQmaxFull : quant::kWeightQmax;
-      std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-      for (auto& v : b) {
-        v = static_cast<std::int8_t>(rng.uniform_int(-qmax, qmax));
-      }
-      const PackedInt8B packed = pack_b_s8(b.data(), k, n, full_range);
-      std::vector<float> col_scale(static_cast<std::size_t>(n));
-      std::vector<float> bias(static_cast<std::size_t>(n));
-      for (auto& v : col_scale) v = 0.001f + 0.01f * rng.uniform();
-      for (auto& v : bias) v = rng.uniform() - 0.5f;
-      const QuantEpilogue ep{col_scale.data(), 19, bias.data(), 0.1f};
-      std::vector<float> ref(static_cast<std::size_t>(m * n));
-      gemm_u8s8_ref(a.data(), kpad, packed, m, ep, ref.data());
-      int levels_run = 0;
-      for (const char* level : levels) {
-        std::vector<float> got(static_cast<std::size_t>(m * n), -1e30f);
-        if (!gemm_u8s8_forced_kernel(level, a.data(), kpad, packed, m, ep,
-                                     got.data())) {
-          continue;  // host cannot execute this level
-        }
-        ++levels_run;
-        ASSERT_EQ(std::memcmp(ref.data(), got.data(),
-                              ref.size() * sizeof(float)),
-                  0)
-            << "level " << level << " full_range=" << full_range << " m="
-            << m << " k=" << k << " n=" << n;
-      }
-      EXPECT_GE(levels_run, 2);  // scalar + sse2 run everywhere
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    for (auto& v : b) {
+      v = static_cast<std::int8_t>(
+          rng.uniform_int(-quant::kWeightQmax, quant::kWeightQmax));
     }
+    const PackedInt8B packed = pack_b_s8(b.data(), k, n);
+    std::vector<float> col_scale(static_cast<std::size_t>(n));
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    for (auto& v : col_scale) v = 0.001f + 0.01f * rng.uniform();
+    for (auto& v : bias) v = rng.uniform() - 0.5f;
+    const QuantEpilogue ep{col_scale.data(), 19, bias.data(), 0.1f};
+    std::vector<float> ref(static_cast<std::size_t>(m * n));
+    gemm_u8s8_ref(a.data(), kpad, packed, m, ep, ref.data());
+    int levels_run = 0;
+    for (const char* level : levels) {
+      std::vector<float> got(static_cast<std::size_t>(m * n), -1e30f);
+      if (!gemm_u8s8_forced_kernel(level, a.data(), kpad, packed, m, ep,
+                                   got.data())) {
+        continue;  // host cannot execute this level
+      }
+      ++levels_run;
+      ASSERT_EQ(std::memcmp(ref.data(), got.data(),
+                            ref.size() * sizeof(float)),
+                0)
+          << "level " << level << " m=" << m << " k=" << k << " n=" << n;
+    }
+    EXPECT_GE(levels_run, 2);  // scalar + sse2 run everywhere
   }
   EXPECT_FALSE(gemm_u8s8_forced_kernel("no-such-level", nullptr, 4,
                                        PackedInt8B{}, 1, QuantEpilogue{},

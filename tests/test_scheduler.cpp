@@ -1,5 +1,5 @@
-// Tests for the serving scheduler: cross-session batch fusion (float
-// parity + int8 bit-identity + pool-size determinism), request-level
+// Tests for the serving scheduler: cross-session batch fusion (float and
+// int8 bit-identity + pool-size determinism), request-level
 // dedup/memoization for fan-out consumers (bitwise-equal frames, content
 // guarding), checkpoint hot-reload (block-boundary swap, mismatch
 // diagnostics, failure leaving the old model bit-identical, concurrent
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <thread>
@@ -72,19 +71,6 @@ void expect_bitwise(const Tensor& a, const Tensor& b, const char* what) {
   ASSERT_EQ(a.shape(), b.shape()) << what;
   for (std::int64_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a.flat(i), b.flat(i)) << what << " differs at " << i;
-  }
-}
-
-// Fusion widens the generator's lowered GEMMs, which can move the
-// float-add order inside shared SIMD reduction tails: parity is <= 1e-5 in
-// normalised units, compared here after denormalisation with the matching
-// relative scale.
-void expect_fusion_parity(const Tensor& fused, const Tensor& ref,
-                          const char* what) {
-  ASSERT_EQ(fused.shape(), ref.shape()) << what;
-  for (std::int64_t i = 0; i < ref.size(); ++i) {
-    const float tol = 1e-5f * (1.f + std::abs(ref.flat(i)));
-    ASSERT_NEAR(fused.flat(i), ref.flat(i), tol) << what << " at " << i;
   }
 }
 
@@ -154,7 +140,9 @@ TEST(Scheduler, FusedServingMatchesIndependentSessions) {
   const std::vector<Tensor> fused1 = run_fused(1);
   ASSERT_EQ(fused1.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    expect_fusion_parity(fused1[i], reference[i], "fused vs independent");
+    // Fusion widens the generator's products; every element is still its
+    // kernel's fixed ascending-k fold, so fused output is bitwise.
+    expect_bitwise(fused1[i], reference[i], "fused vs independent");
   }
 
   // For a fixed session composition the fused output is deterministic
@@ -296,8 +284,8 @@ TEST(Scheduler, DedupIsContentGuarded) {
     auto eb = control.push(cb, dataset.frame(t + 7));
     ASSERT_EQ(outs[0].has_value(), ea.has_value());
     ASSERT_EQ(outs[1].has_value(), eb.has_value());
-    if (ea) expect_fusion_parity(*outs[0], *ea, "mis-tagged session a");
-    if (eb) expect_fusion_parity(*outs[1], *eb, "mis-tagged session b");
+    if (ea) expect_bitwise(*outs[0], *ea, "mis-tagged session a");
+    if (eb) expect_bitwise(*outs[1], *eb, "mis-tagged session b");
   }
   const Engine::Stats stats = engine.stats();
   EXPECT_GT(stats.scheduler.dedup_lookups, 0);

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
@@ -31,22 +33,60 @@ TEST(Matmul, InnerDimMismatchThrows) {
   EXPECT_THROW((void)matmul(a, b), ContractViolation);
 }
 
-TEST(Matmul, TransposedVariantsAgreeWithExplicitTranspose) {
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{4, 3}, rng);
-  Tensor b = Tensor::randn(Shape{4, 5}, rng);
-  Tensor via_tn = matmul_tn(a, b);                 // aᵀ b
-  Tensor expected = matmul(transpose(a), b);
-  ASSERT_EQ(via_tn.shape(), expected.shape());
-  for (std::int64_t i = 0; i < via_tn.size(); ++i) {
-    EXPECT_NEAR(via_tn.flat(i), expected.flat(i), 1e-5);
-  }
+bool bitwise_equal(const float* a, const float* b, std::int64_t count) {
+  return std::memcmp(a, b, static_cast<std::size_t>(count) * sizeof(float)) ==
+         0;
+}
 
-  Tensor c = Tensor::randn(Shape{5, 3}, rng);
-  Tensor via_nt = matmul_nt(a.reshape(Shape{4, 3}), c);  // a cᵀ
-  Tensor expected2 = matmul(a, transpose(c));
-  for (std::int64_t i = 0; i < via_nt.size(); ++i) {
-    EXPECT_NEAR(via_nt.flat(i), expected2.flat(i), 1e-5);
+// matmul_tn and matmul_nt run the same panel kernel as matmul on an
+// explicitly transposed operand, so they agree with it bit for bit — with
+// and without accumulation onto a seed, at every pool size. Shapes cover
+// k <= 32, several k-tiles, narrow and multi-tile panels, tall and wide.
+TEST(Matmul, TransposedVariantsAgreeWithExplicitTranspose) {
+  struct Case {
+    std::int64_t m, k, n;
+  };
+  const Case cases[] = {{4, 3, 5},    {8, 9600, 108}, {108, 4, 800},
+                        {37, 300, 53}, {5, 64, 700},   {130, 33, 17}};
+  Rng rng(1);
+  const int hw = num_threads();
+  for (const auto& [m, k, n] : cases) {
+    const Tensor a = Tensor::randn(Shape{m, k}, rng);
+    const Tensor at = Tensor::randn(Shape{k, m}, rng);  // matmul_tn's A
+    const Tensor b = Tensor::randn(Shape{k, n}, rng);
+    const Tensor bt = Tensor::randn(Shape{n, k}, rng);  // matmul_nt's B
+    const Tensor seed = Tensor::randn(Shape{m, n}, rng);
+    const Tensor at_t = transpose(at);
+    const Tensor bt_t = transpose(bt);
+    for (const int pool : {1, 2, hw}) {
+      set_num_threads(pool);
+      const std::string where = "m=" + std::to_string(m) +
+                                " k=" + std::to_string(k) +
+                                " n=" + std::to_string(n) +
+                                " pool=" + std::to_string(pool);
+      const Tensor tn = matmul_tn(at, b);
+      const Tensor tn_want = matmul(at_t, b);
+      EXPECT_TRUE(bitwise_equal(tn.data(), tn_want.data(), m * n))
+          << "matmul_tn " << where;
+      const Tensor nt = matmul_nt(a, bt);
+      const Tensor nt_want = matmul(a, bt_t);
+      EXPECT_TRUE(bitwise_equal(nt.data(), nt_want.data(), m * n))
+          << "matmul_nt " << where;
+
+      Tensor tn_acc = seed.clone();
+      Tensor tn_acc_want = seed.clone();
+      matmul_tn_into(at.data(), b.data(), tn_acc.data(), k, m, n, true);
+      matmul_into(at_t.data(), b.data(), tn_acc_want.data(), m, k, n, true);
+      EXPECT_TRUE(bitwise_equal(tn_acc.data(), tn_acc_want.data(), m * n))
+          << "matmul_tn_into accumulate " << where;
+      Tensor nt_acc = seed.clone();
+      Tensor nt_acc_want = seed.clone();
+      matmul_nt_into(a.data(), bt.data(), nt_acc.data(), m, k, n, true);
+      matmul_into(a.data(), bt_t.data(), nt_acc_want.data(), m, k, n, true);
+      EXPECT_TRUE(bitwise_equal(nt_acc.data(), nt_acc_want.data(), m * n))
+          << "matmul_nt_into accumulate " << where;
+    }
+    set_num_threads(0);
   }
 }
 

@@ -279,6 +279,8 @@ TEST(TrainParallel, ReplicaArenasReachZeroGrowthSteadyState) {
         << "replica worker " << w << " arena grew after warm-up";
     EXPECT_EQ(after[w].capacity_bytes, warm[w].capacity_bytes)
         << "replica worker " << w << " arena capacity changed after warm-up";
+    EXPECT_EQ(after[w].peak_bytes, warm[w].peak_bytes)
+        << "replica worker " << w << " arena high-water mark rose after warm-up";
   }
 }
 

@@ -14,6 +14,7 @@
 #include "src/common/workspace.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/data/milan.hpp"
+#include "src/nn/replica.hpp"
 #include "src/tensor/tensor_ops.hpp"
 
 namespace mtsr {
@@ -328,20 +329,44 @@ TEST(AllocationRegression, SteadyStateTrainStepHasZeroArenaGrowth) {
   core::MtsrPipeline pipeline(tiny_pipeline_config(), dataset);
 
   // Warm-up: pretrain steps plus full adversarial rounds touch every
-  // layer's forward/backward path and push the arena to its high-water
+  // layer's forward/backward path and push the arenas to their high-water
   // capacity.
   pipeline.train();
 
+  // A step with one replica worker runs inline on this thread's arena; a
+  // fanned-out step (MTSR_TRAIN_REPLICAS, MTSR_SHARDS) runs its slices on
+  // shard runner threads and leaves this arena alone. Either way, the
+  // arenas the step used must not grow once warm.
   Workspace& ws = Workspace::tls();
   const auto warm = ws.stats();
+  const std::vector<nn::ReplicaArenaStats> warm_workers =
+      pipeline.trainer().replica_arena_stats();
   // Steady state: further adversarial rounds and pretrain steps must not
   // allocate any new arena capacity, and every step must drain fully.
   pipeline.train();
   const auto after = ws.stats();
+  const std::vector<nn::ReplicaArenaStats>& after_workers =
+      pipeline.trainer().replica_arena_stats();
   EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
   EXPECT_EQ(after.growth_events, warm.growth_events);
   EXPECT_EQ(after.live_bytes, warm.live_bytes);
-  EXPECT_GT(after.alloc_count, warm.alloc_count);  // the arena was used
+  // Capacity at least doubles per growth, so it can hide a demand that
+  // creeps up by less than that; the high-water mark cannot.
+  EXPECT_EQ(after.peak_bytes, warm.peak_bytes);
+  ASSERT_EQ(after_workers.size(), warm_workers.size());
+  ASSERT_FALSE(after_workers.empty());
+  if (after_workers.size() == 1) {
+    EXPECT_GT(after.alloc_count, warm.alloc_count);  // the arena was used
+  }
+  for (std::size_t w = 0; w < after_workers.size(); ++w) {
+    EXPECT_GT(after_workers[w].capacity_bytes, 0) << "worker " << w;
+    EXPECT_EQ(after_workers[w].capacity_bytes, warm_workers[w].capacity_bytes)
+        << "worker " << w;
+    EXPECT_EQ(after_workers[w].growth_events, warm_workers[w].growth_events)
+        << "worker " << w;
+    EXPECT_EQ(after_workers[w].peak_bytes, warm_workers[w].peak_bytes)
+        << "worker " << w;
+  }
 }
 
 TEST(AllocationRegression, SteadyStatePredictFrameHasZeroArenaGrowth) {
