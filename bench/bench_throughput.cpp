@@ -227,8 +227,8 @@ BENCHMARK(BM_ZipNetFullGridInference)
 //  * BM_ServePredictFrameSerial — the pipeline's predict_frame entry point,
 //    one engine session per pipeline, streams served one after another.
 //  * BM_ServeEngine — sessions of one engine: rolling per-window aggregate
-//    cache, fixed sub-batching, and the double-buffered gather/GEMM overlap
-//    when the pool has workers to spare.
+//    cache and fixed sub-batching, each block gathered into its shard's
+//    pass batch and run in its shard's arena.
 
 constexpr std::int64_t kServeSessions = 2;
 constexpr std::int64_t kServeFrames = 3;  // predictions per session

@@ -134,8 +134,8 @@ class NestedParallelRegion {
 
 /// While any instance is alive, set_num_threads / set_num_shards /
 /// set_affinity_policy throw: serving sessions hold one for their lifetime
-/// because their shard assignment, gather slots and fused-pass arenas are
-/// sized against the pool topology at open time.
+/// because their shard assignment is made against the pool topology at
+/// open time, and the scheduler keeps its batch, arena and memo per shard.
 class PoolTopologyPin {
  public:
   PoolTopologyPin();
@@ -146,18 +146,15 @@ class PoolTopologyPin {
 }  // namespace detail
 
 /// A dedicated background thread for pipeline-stage tasks that must overlap
-/// pool-parallel work (e.g. the window gather of stitch block i+1 while
-/// block i is inside the generator GEMMs). Tasks run serially in submission
-/// order on the stage thread; the thread counts as being inside a parallel
-/// region, so parallel_for calls made from a task execute serially on the
-/// stage thread and never contend with the pool's in-flight task.
+/// pool-parallel work (the GAN trainer assembles batch i+1 on it while step
+/// i runs). Tasks run serially in submission order on the stage thread; the
+/// thread counts as being inside a parallel region, so parallel_for calls
+/// made from a task execute serially on the stage thread and never contend
+/// with the pool's in-flight task.
 class StageExecutor {
  public:
-  /// The stage thread starts lazily on the first submit(). When `shard` is
-  /// >= 0 the thread is pinned to that shard's NUMA node (under the active
-  /// affinity policy) so staged gathers/scatters first-touch shard-local
-  /// memory; -1 leaves it unpinned.
-  explicit StageExecutor(int shard = -1);
+  /// The stage thread starts lazily on the first submit().
+  StageExecutor();
   /// Drains pending tasks, then joins the stage thread.
   ~StageExecutor();
   StageExecutor(const StageExecutor&) = delete;

@@ -10,7 +10,6 @@
 
 #include "src/common/check.hpp"
 #include "src/common/parallel.hpp"
-#include "src/common/topology.hpp"
 
 namespace mtsr {
 
@@ -20,7 +19,6 @@ struct StageExecutor::Impl {
   std::condition_variable idle_cv;
   std::deque<std::packaged_task<void()>> queue;
   std::thread thread;
-  int shard = -1;
   bool started = false;
   bool stopping = false;
   bool executing = false;
@@ -31,12 +29,6 @@ struct StageExecutor::Impl {
     // calls execute serially right here while the submitting thread keeps
     // the pool busy with GEMMs.
     detail::mark_thread_inside_parallel_region();
-    if (shard >= 0 && affinity_policy() != AffinityPolicy::kNone) {
-      // Keep staged gathers/scatters on their shard's node so the slices
-      // they first-touch stay local to the shard's GEMM workers.
-      detail::pin_current_thread_to_node(shard %
-                                         Topology::instance().node_count());
-    }
     for (;;) {
       std::packaged_task<void()> task;
       {
@@ -57,9 +49,7 @@ struct StageExecutor::Impl {
   }
 };
 
-StageExecutor::StageExecutor(int shard) : impl_(std::make_unique<Impl>()) {
-  impl_->shard = shard;
-}
+StageExecutor::StageExecutor() : impl_(std::make_unique<Impl>()) {}
 
 StageExecutor::~StageExecutor() {
   {

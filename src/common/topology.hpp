@@ -87,8 +87,8 @@ void store_affinity_policy(AffinityPolicy policy);
 bool pin_current_thread_to_cpu(int cpu);
 
 /// Pins the calling thread to every cpu of `node` (index into
-/// Topology::nodes()). Used for shard runner/stage threads, which should
-/// stay on their shard's node without claiming a specific core.
+/// Topology::nodes()). Used for shard runner threads, which should stay on
+/// their shard's node without claiming a specific core.
 bool pin_current_thread_to_node(int node_index);
 
 /// Number of pin attempts the host rejected since process start. The

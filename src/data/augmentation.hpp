@@ -105,7 +105,7 @@ struct StitchPlan {
 /// the plan, preds of shape (B, w, w)) into the moving-average accumulators
 /// `acc` and `weight` (both (rows, cols), zero-initialised). Additions run
 /// in ascending window order, so the float arithmetic is bit-identical
-/// regardless of how blocks were produced (serially or double-buffered).
+/// regardless of how blocks were produced (alone or in a fused pass).
 void stitch_accumulate(const StitchPlan& plan, const Tensor& preds,
                        std::int64_t w0, Tensor& acc, Tensor& weight);
 

@@ -76,7 +76,7 @@ struct Frame {
 
 /// OPEN payload: everything a serving session needs, minus what only the
 /// server knows (the probe layout is derived server-side from instance and
-/// window; block/overlap stay server policy).
+/// window; the block stays server policy).
 struct OpenRequest {
   std::string model;
   std::string stream;  ///< dedup fan-out tag; empty = independent

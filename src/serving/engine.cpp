@@ -184,7 +184,6 @@ Engine::Stats Engine::stats() const {
     s.frames_until_ready = session->frames_until_ready();
     s.inference_count = session->inference_count();
     s.coarsen_skips = session->coarsen_skips();
-    s.arena = session->arena_stats();
     stats.sessions.push_back(std::move(s));
   }
   stats.scheduler = scheduler_.stats();
@@ -235,17 +234,14 @@ Engine::Stats Engine::stats() const {
 
 std::string render_stats_table(const Engine::Stats& stats) {
   Table table({"session", "model", "grid", "window", "S", "warm-up",
-               "inferences", "skips", "arena cap", "arena peak", "growth"});
+               "inferences", "skips"});
   for (const Engine::SessionStats& s : stats.sessions) {
     table.add_row({std::to_string(s.id), s.model,
                    std::to_string(s.rows) + "x" + std::to_string(s.cols),
                    std::to_string(s.window), std::to_string(s.temporal_length),
                    std::to_string(s.frames_until_ready),
                    std::to_string(s.inference_count),
-                   std::to_string(s.coarsen_skips),
-                   fmt_bytes(s.arena.capacity_bytes),
-                   fmt_bytes(s.arena.peak_bytes),
-                   std::to_string(s.arena.growth_events)});
+                   std::to_string(s.coarsen_skips)});
   }
   std::string out = table.render();
 
@@ -275,7 +271,7 @@ std::string render_stats_table(const Engine::Stats& stats) {
   }
 
   // Scheduler summary: the cross-session dispatch counters a deployment
-  // watches beside the per-session arenas.
+  // watches, and the arena growth it alarms on.
   const SchedulerStats& sch = stats.scheduler;
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -305,7 +301,7 @@ std::string render_stats_table(const Engine::Stats& stats) {
           : 0.0;
   std::snprintf(line, sizeof(line),
                 "dedup: %lld/%lld hits (%.1f%%), %lld memo entries; "
-                "reloads: %lld applied, %lld failed; fused arena: %s cap, "
+                "reloads: %lld applied, %lld failed; arenas: %s cap, "
                 "%lld growth\n",
                 static_cast<long long>(sch.dedup_hits),
                 static_cast<long long>(sch.dedup_lookups), rate,

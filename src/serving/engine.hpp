@@ -19,14 +19,14 @@
 //    non-owning BaselineModel) additionally require the wrapped network to
 //    outlive every engine it is registered with;
 //  * the engine itself is single-threaded: calls into one engine must be
-//    serialised by the caller (the pool + stage threads below it are the
-//    parallelism story) — with TWO exceptions: reload_model() and stats()
-//    may run concurrently with push()/push_all()/push_fused(); the serving
-//    sessions pick a swap up at their next stitch-block boundary, and
-//    stats() only reads the slots' mutex-guarded state plus atomics. (The
-//    continuous learner relies on both: its trainer thread promotes
-//    checkpoints into a serving engine and its telemetry is polled from
-//    the serving side.) Neither may run concurrently with
+//    serialised by the caller (the pool and the shard runner threads below
+//    it are the parallelism story) — with TWO exceptions: reload_model()
+//    and stats() may run concurrently with push()/push_all()/push_fused();
+//    the serving sessions pick a swap up at their next stitch-block
+//    boundary, and stats() only reads the slots' mutex-guarded state plus
+//    atomics. (The continuous learner relies on both: its trainer thread
+//    promotes checkpoints into a serving engine and its telemetry is
+//    polled from the serving side.) Neither may run concurrently with
 //    open/close/register.
 #pragma once
 
@@ -167,9 +167,6 @@ class Engine {
   std::vector<std::optional<Tensor>> push_fused(
       const std::vector<SessionId>& ids, const Tensor& fine_snapshot);
 
-  /// Adjusts the scheduler's fused-pass window cap (SchedulerConfig).
-  void set_fuse_cap(std::int64_t cap) { scheduler_.set_fuse_cap(cap); }
-
   // ---- Continuous-learning hooks -------------------------------------------
 
   /// A frame publication hook on the serving path: called once per distinct
@@ -205,9 +202,10 @@ class Engine {
 
   // ---- Telemetry -----------------------------------------------------------
 
-  /// One session's serving counters plus its arena telemetry (the rotating
-  /// workspace pair, combined). Long-running deployments alarm on
-  /// growth_events / capacity_bytes moving after warm-up.
+  /// One session's serving counters. Sessions own no arena: every pass
+  /// runs in its shard's arena (ShardStats::arena), where long-running
+  /// deployments alarm on growth_events / capacity_bytes moving after
+  /// warm-up.
   struct SessionStats {
     SessionId id = 0;
     std::string model;
@@ -218,6 +216,8 @@ class Engine {
     /// Admit-time coarsenings skipped because the stream memo served every
     /// block that would have read them (dedup fan-out consumers only).
     std::int64_t coarsen_skips = 0;
+    /// Always zero. Kept because perfbench's snap() sums it beside the
+    /// shard arenas.
     Workspace::Stats arena;
   };
   /// One pool shard as this engine sees it: the scheduler's dispatch
@@ -232,7 +232,7 @@ class Engine {
     std::int64_t windows = 0;
     std::int64_t max_queue_depth = 0;  ///< peak block requests in one round
     std::int64_t memo_entries = 0;
-    Workspace::Stats arena;   ///< the shard's fused-pass arena
+    Workspace::Stats arena;   ///< the arena every pass of the shard runs in
     double busy_seconds = 0;  ///< worker-seconds spent in chunk bodies
   };
   struct Stats {
@@ -274,16 +274,16 @@ class Engine {
   std::vector<PoolShardStats> pool_baseline_;  ///< busy-time at construction
   // Declaration order is destruction order in reverse: sessions_ is
   // declared last so closing sessions release their stream memo refs into
-  // a still-live scheduler (which owns the per-shard stage executors and
-  // never returns from serve() with stage tasks in flight).
+  // a still-live scheduler.
   Scheduler scheduler_;
   std::map<SessionId, std::unique_ptr<Session>> sessions_;
 };
 
 /// Renders engine statistics as the CLI telemetry table (one row per
-/// session: stream geometry, serving counters, arena capacity/peak/growth)
-/// followed by the scheduler summary (queue depth, fused-batch-size
-/// histogram, dedup hit rate, hot-reloads).
+/// session: stream geometry and serving counters; one row per shard:
+/// dispatch counters, arena capacity and busy time) followed by the
+/// scheduler summary (queue depth, fused-batch-size histogram, dedup hit
+/// rate, hot-reloads, arena capacity and growth).
 [[nodiscard]] std::string render_stats_table(const Engine::Stats& stats);
 
 }  // namespace mtsr::serving

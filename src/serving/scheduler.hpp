@@ -32,8 +32,7 @@
 //
 // Numerics contract (the bit-identity boundary):
 //  * a session served alone — every Engine::push — follows its plan's
-//    block sequence under its own arenas: bit-identical at every pool
-//    size, overlap on or off;
+//    block sequence: bit-identical at every pool size;
 //  * dedup'd consumers scatter the same memoised rows: bitwise-equal
 //    frames by construction;
 //  * fused passes are bit-identical to unfused serving: int8 models
@@ -41,21 +40,29 @@
 //    kernel whose per-element result is a fixed ascending-k fold, so a
 //    window's output does not depend on which windows share its pass.
 //
+// One pass path: after dedup, a round's compute requests are grouped and
+// capped into passes; each member gathers straight into its rows of the
+// shard's one WindowBatch, every pass — one session's or several — runs
+// under the shard's Workspace arena, and the rows scatter into the
+// sessions' stitch accumulators on the dispatch thread. Once a shard has
+// run one pass at the fuse cap for each model and stream geometry it
+// serves, no pass composition grows its arena again.
+//
+// Failure: a throwing predict (or any check after it) unwinds the whole
+// serve() call. Every session of the call keeps the frame it admitted and
+// none gets output for it — inference counts move only when the call
+// returns — and the shard arenas are rewound to empty. Memo entries that
+// passes stored before the failure stay: they are content-keyed and exact.
+//
 // Threading: the scheduler is topology-aware. Sessions are assigned to
 // pool shards at open time (stable stream hash for fan-out consumers, so
 // one stream's dedup memo lives on one shard; round-robin otherwise), and
 // serve() partitions its sessions by shard: each shard's dispatch loop runs
 // on that shard's runner thread (run_on_shard) against per-shard state —
-// its own fused-concat buffers, execution arena, dedup memo and stage
-// thread — so shards never share mutable state and their GEMM panels
-// first-touch shard-local memory. The caller serves its own shard inline.
-// Within a shard the per-round overlap generalises the double-buffered
-// stitch two ways: the NEXT round's gathers are staged on the shard's
-// StageExecutor while the current round is inside the model, and the
-// CURRENT round's scatter (accumulate + final-round denormalise) is
-// offloaded to the same stage thread so it overlaps the next round's
-// GEMMs. ModelSlot resolution is the only state shared with a concurrent
-// reloader, and it is mutex-serialised.
+// its own window batch, execution arena and dedup memo — so shards never
+// share mutable state and their GEMM panels first-touch shard-local memory.
+// The caller serves its own shard inline. ModelSlot resolution is the only
+// state shared with a concurrent reloader, and it is mutex-serialised.
 #pragma once
 
 #include <cstdint>
@@ -67,19 +74,19 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/parallel.hpp"
 #include "src/common/workspace.hpp"
 #include "src/serving/session.hpp"
 
 namespace mtsr::serving {
 
 struct SchedulerConfig {
-  /// Maximum windows per fused generator pass; <= 0 removes the cap. The
-  /// default keeps a fused pass inside the measured per-window sweet spot
-  /// of gateway-class cores (the lowered column matrices of a window-20
-  /// block stop being cache-resident past ~4 windows); multi-socket hosts
-  /// serving wide pools raise it so one pass can feed every worker.
-  std::int64_t fuse_cap = 4;
+  /// Maximum windows per generator pass. It keeps a fused pass inside the
+  /// measured per-window sweet spot of gateway-class cores (the lowered
+  /// column matrices of a window-20 block stop being cache-resident past
+  /// ~4 windows), and it bounds the shard arena: once a shard has run one
+  /// pass of fuse_cap windows for each model and stream geometry it
+  /// serves, no pass composition grows its arena again.
+  static constexpr std::int64_t fuse_cap = 4;
 };
 
 /// Dispatch telemetry, cumulative since construction. A production
@@ -96,7 +103,7 @@ struct SchedulerStats {
   std::int64_t dedup_lookups = 0;  ///< block requests with dedup enabled
   std::int64_t dedup_hits = 0;     ///< requests served from the memo
   std::int64_t memo_entries = 0;   ///< live memoised block predictions
-  Workspace::Stats arena;          ///< fused-pass execution arena
+  Workspace::Stats arena;          ///< pass execution arena(s)
 };
 
 /// One pool shard's slice of the scheduler: its dispatch counters plus the
@@ -120,9 +127,8 @@ class Scheduler {
   /// from the block.
   static constexpr std::int64_t kFixedBlock = 2;
 
-  /// Per-shard state (stage threads included) is created lazily as shards
-  /// first serve.
-  explicit Scheduler(SchedulerConfig config = {});
+  /// Per-shard state is created lazily as shards first serve.
+  Scheduler() = default;
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -131,7 +137,10 @@ class Scheduler {
   /// sessions) and serves every resulting inference, fusing compatible
   /// blocks across the warm sessions. Returns one entry per session:
   /// the stitched full-grid inference, or nullopt while warming up.
-  /// Outputs land in input order regardless of fusion.
+  /// Outputs land in input order regardless of fusion. A throw from a
+  /// pass (the model's own exception) propagates after every shard has
+  /// stopped: each session keeps the frame it admitted, none gets output
+  /// or an inference count for it.
   ///
   /// Every frame is checked (Session::frame_error) before any session
   /// admits one: a bad frame throws ContractViolation and leaves every
@@ -146,9 +155,6 @@ class Scheduler {
   [[nodiscard]] SchedulerStats stats() const;
   /// Per-shard counters (index == shard id), for shards that have served.
   [[nodiscard]] std::vector<SchedulerShardStats> shard_stats() const;
-  [[nodiscard]] const SchedulerConfig& config() const { return config_; }
-  /// Adjusts the fused-pass window cap (takes effect next serve()).
-  void set_fuse_cap(std::int64_t cap) { config_.fuse_cap = cap; }
 
   /// Stream memo lifetime: each dedup-enabled session holds one reference
   /// on its stream prefix (in its assigned shard's memo); when the last
@@ -164,9 +170,8 @@ class Scheduler {
   /// Everything one pool shard serves with. No two shards ever touch the
   /// same Shard, so concurrent serve_shard calls need no locking.
   struct Shard {
-    std::unique_ptr<StageExecutor> stage;  ///< lazily created per shard
-    Workspace ws;  ///< fused passes execute here, not in a session arena
-    WindowBatch fused;  ///< persistent concat buffers (resized on demand)
+    Workspace ws;       ///< every pass of this shard executes here
+    WindowBatch batch;  ///< the pass's gathered windows (resized on demand)
 
     /// Content-addressed block predictions for stream-tagged sessions,
     /// plus per-stream bookkeeping so entries die as soon as their
@@ -189,8 +194,7 @@ class Scheduler {
 
   /// One shard's dispatch loop: every round of `acts`, run on the shard's
   /// runner thread (or inline when the caller already is that shard).
-  void serve_shard(int shard_index, Shard& sh,
-                   std::span<Active* const> acts,
+  void serve_shard(Shard& sh, std::span<Active* const> acts,
                    std::vector<std::optional<Tensor>>& outputs);
 
   void evict_stale_memo(Shard& sh, const Session& session,
@@ -202,7 +206,6 @@ class Scheduler {
                                              std::uint64_t signature,
                                              std::int64_t b0, std::int64_t b1);
 
-  SchedulerConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -161,19 +161,6 @@ std::int64_t Session::frames_until_ready() const {
       s_ - static_cast<std::int64_t>(history_.size()), 0);
 }
 
-Workspace::Stats Session::arena_stats() const {
-  Workspace::Stats total;
-  for (const Slot& slot : slots_) {
-    const Workspace::Stats s = slot.ws.stats();
-    total.capacity_bytes += s.capacity_bytes;
-    total.live_bytes += s.live_bytes;
-    total.peak_bytes += s.peak_bytes;
-    total.alloc_count += s.alloc_count;
-    total.growth_events += s.growth_events;
-  }
-  return total;
-}
-
 Tensor Session::normalize(const Tensor& raw) const {
   return data::normalize_frame(raw, config_.stats, config_.log_transform);
 }
@@ -256,15 +243,28 @@ std::uint64_t Session::history_signature() const {
   return h;
 }
 
-void Session::gather_block(std::int64_t b0, std::int64_t b1, int slot) {
+void Session::shape_batch(WindowBatch& batch, std::int64_t windows) const {
+  const std::int64_t ci = layout_->input_side();
+  const std::int64_t w = config_.window;
+  const auto fit = [](Tensor& t, bool needed, const Shape& shape) {
+    if (!needed) {
+      if (!t.empty()) t = Tensor();
+    } else if (t.shape() != shape) {
+      t = Tensor(shape);
+    }
+  };
+  fit(batch.coarse, needs_.coarse_history, Shape{windows, s_, ci, ci});
+  fit(batch.fine_raw, needs_.fine_latest, Shape{windows, w, w});
+}
+
+void Session::gather_block(std::int64_t b0, std::int64_t b1,
+                           WindowBatch& batch, std::int64_t row) {
+  ensure_history_coarsened();
   const std::int64_t n = b1 - b0;
   const std::int64_t ci = layout_->input_side();
   const std::int64_t w = config_.window;
-  WindowBatch& batch = slots_[slot].batch;
   if (needs_.coarse_history) {
-    const Shape shape{n, s_, ci, ci};
-    if (batch.coarse.shape() != shape) batch.coarse = Tensor(shape);
-    float* dst = batch.coarse.data();
+    float* dst = batch.coarse.data() + row * s_ * ci * ci;
     for (std::int64_t j = 0; j < n; ++j) {
       for (std::int64_t s = 0; s < s_; ++s) {
         const FrameEntry& entry = history_[static_cast<std::size_t>(s)];
@@ -275,10 +275,8 @@ void Session::gather_block(std::int64_t b0, std::int64_t b1, int slot) {
     }
   }
   if (needs_.fine_latest) {
-    const Shape shape{n, w, w};
-    if (batch.fine_raw.shape() != shape) batch.fine_raw = Tensor(shape);
     const Tensor& raw = history_.back().raw;
-    float* dst = batch.fine_raw.data();
+    float* dst = batch.fine_raw.data() + row * w * w;
     for (std::int64_t j = 0; j < n; ++j) {
       const std::int64_t r0 = plan_.row_origin(b0 + j);
       const std::int64_t c0 = plan_.col_origin(b0 + j);

@@ -1,28 +1,24 @@
 // serving::Session — one live stream's state: rolling history, window
 // cache, and the per-session half of the scheduled stitched-inference loop.
 //
-// A session owns everything one city/stream needs between requests:
-//  * the last S frames, pre-coarsened per stitch window on arrival, so a
-//    steady-state inference re-aggregates nothing (re-normalising the full
-//    frame once per window per history step would be quadratic waste on
-//    city-scale grids);
-//  * a dedicated rotating pair of mtsr::Workspace arenas. Block k of the
-//    stitch executes with ws[k % 2] bound as the thread workspace, while
-//    the gather of block k+1 runs on the scheduler's stage thread under
-//    ws[(k+1) % 2] — workspace-aware double buffering: the generator's GEMM
-//    scratch and the next block's gather never touch the same arena. After
-//    warm-up both arenas sit at their high-water capacity and steady-state
-//    serving performs zero growth (Engine::stats() exposes the counters).
+// A session owns everything one city/stream needs between requests: the
+// last S frames, pre-coarsened per stitch window on arrival, so a
+// steady-state inference re-aggregates nothing (re-normalising the full
+// frame once per window per history step would be quadratic waste on
+// city-scale grids).
 //
-// The inference LOOP no longer lives here: the session exposes a stepwise
+// The inference LOOP does not live here: the session exposes a stepwise
 // contract (admit → gather block → accumulate → finalize) that the serving
 // Scheduler drives, fusing compatible blocks of concurrently served
-// sessions into shared generator passes.
+// sessions into shared generator passes. The scheduler owns the memory a
+// pass runs in — each block gathers straight into its rows of its shard's
+// window batch, and every pass executes in its shard's Workspace arena —
+// so a session holds no arena of its own.
 //
-// Determinism: session outputs are bit-identical across pool sizes and
-// across whether double-buffering is enabled — `block` never depends on the
-// pool, the stage thread only changes WHEN a block is gathered, never its
-// values, and stitch_accumulate fixes the float-add order.
+// Determinism: session outputs are bit-identical across pool sizes —
+// `block` never depends on the pool, a window's prediction does not depend
+// on which pass or which rows it lands in, and stitch_accumulate fixes the
+// float-add order.
 //
 // Input edge: a frame enters a session only after frame_error() accepts
 // it — the right (rows, cols) shape and every cell finite. Every push path
@@ -38,7 +34,6 @@
 #include <string>
 
 #include "src/common/parallel.hpp"
-#include "src/common/workspace.hpp"
 #include "src/data/augmentation.hpp"
 #include "src/serving/model.hpp"
 
@@ -82,12 +77,6 @@ struct SessionConfig {
   static constexpr std::int64_t kDefaultBlock = 0;
   std::int64_t block = kDefaultBlock;
 
-  /// Double-buffering: kAuto enables the stage-thread overlap when the
-  /// pool has more than one worker (on a single core the overlap cannot
-  /// buy wall-clock time).
-  enum class Overlap { kAuto, kOff, kOn };
-  Overlap overlap = Overlap::kAuto;
-
   /// Pulls grid geometry and normalisation from a dataset.
   [[nodiscard]] static SessionConfig from_dataset(
       std::string model, data::MtsrInstance instance,
@@ -122,7 +111,7 @@ class Session {
   /// full-grid inference in MB, or std::nullopt while warming up.
   std::optional<Tensor> push(const Tensor& fine_snapshot);
 
-  /// Drops the rolling history (the arenas keep their capacity).
+  /// Drops the rolling history.
   void reset();
 
   /// Why `fine_snapshot` cannot be pushed into this session — a shape
@@ -155,10 +144,6 @@ class Session {
     return slot_->acquire().model;
   }
 
-  /// Combined statistics of the session's rotating arena pair. In steady
-  /// state capacity and growth_events stay constant push after push.
-  [[nodiscard]] Workspace::Stats arena_stats() const;
-
   /// The pool shard this session is served on, fixed at open time: a
   /// stable hash of the stream tag (all fan-out consumers of one feed land
   /// on one shard, where their dedup memo lives), round-robin for untagged
@@ -186,15 +171,19 @@ class Session {
   /// (ensure_history_coarsened() runs both steps on demand).
   void admit(const Tensor& fine_snapshot);
   /// Normalises + coarsens any history frame still holding its raw staging
-  /// tensor. Must run on the MAIN thread before this session's first
-  /// gather of a round — the coarsening fans out on the pool, which the
-  /// scheduler's stage thread must never do.
+  /// tensor (gather_block runs it first).
   void ensure_history_coarsened();
   [[nodiscard]] bool warm() const {
     return static_cast<std::int64_t>(history_.size()) >= s_;
   }
-  /// Gathers windows [b0, b1) of the plan into slot `slot`'s batch.
-  void gather_block(std::int64_t b0, std::int64_t b1, int slot);
+  /// Shapes `batch` for a pass of `windows` windows of this session's
+  /// geometry (buffers are reallocated only when the shape changes; views
+  /// the model does not consume are left empty).
+  void shape_batch(WindowBatch& batch, std::int64_t windows) const;
+  /// Gathers windows [b0, b1) of the plan into rows [row, row + b1 - b0)
+  /// of `batch`, which shape_batch() sized for the whole pass.
+  void gather_block(std::int64_t b0, std::int64_t b1, WindowBatch& batch,
+                    std::int64_t row);
   [[nodiscard]] ModelSlot::Ref resolve_model() const {
     return slot_->acquire();
   }
@@ -223,20 +212,13 @@ class Session {
   bool stream_registered_ = false;  ///< holds a scheduler stream refcount
   int shard_ = 0;  ///< pool shard assignment (stable for the session's life)
   /// While the session is open, set_num_threads / set_num_shards /
-  /// set_affinity_policy throw — the shard assignment above and the arenas
-  /// below are sized against the pool topology at open time.
+  /// set_affinity_policy throw — the shard assignment above is made
+  /// against the pool topology at open time.
   detail::PoolTopologyPin topology_pin_;
 
   std::deque<FrameEntry> history_;  ///< last <= S frames
   std::deque<std::uint64_t> frame_hashes_;  ///< parallel to history_
 
-  /// Double-buffer slots: gather state + execution arena, rotated per
-  /// stitch block.
-  struct Slot {
-    Workspace ws;
-    WindowBatch batch;
-  };
-  Slot slots_[2];
   Scheduler* scheduler_ = nullptr;  ///< shared (engine) or owned_scheduler_
   std::unique_ptr<Scheduler> owned_scheduler_;  ///< standalone fallback
 };

@@ -4,8 +4,9 @@
 // and the TCP server end to end over loopback — bitwise parity between
 // wire-served and in-process inference, explicit backpressure when the
 // admission queue floods, slow-client write-buffer eviction, error
-// responses that leave the connection usable, and non-finite frames
-// answered at the door without failing their round.
+// responses that leave the connection usable, non-finite frames
+// answered at the door without failing their round, and a round whose
+// generator pass throws answered with errors before the next round serves.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -28,6 +29,7 @@
 #include "src/net/server.hpp"
 #include "src/serving/engine.hpp"
 #include "src/serving/model.hpp"
+#include "tests/throwing_model.hpp"
 
 namespace mtsr::net {
 namespace {
@@ -345,6 +347,21 @@ struct ServedEngine {
   }
 };
 
+/// Runs a blocking client call against a server whose loop the test
+/// drives by hand (the single-step seam): a helper thread polls the server
+/// while the client blocks.
+template <typename Call>
+auto polled(Server& server, const Call& call) {
+  std::atomic<bool> done{false};
+  std::thread step([&] {
+    while (!done.load()) server.poll_once(2);
+  });
+  auto result = call();
+  done.store(true);
+  step.join();
+  return result;
+}
+
 TEST(Server, LoopbackServedFramesAreBitwiseIdenticalToInProcess) {
   PoolGuard guard;
   ServedEngine served;
@@ -563,21 +580,9 @@ TEST(Server, NonFiniteFrameAnsweredWithErrorAndRoundServed) {
   Server server(served.engine, ServerConfig{});
   server.set_auto_drain(false);  // a round drains only when the test says
   Client client("127.0.0.1", server.port());
-  // The server shares this thread (the single-step seam): poll it on a
-  // helper thread while the client blocks.
-  auto polled = [&](const auto& call) {
-    std::atomic<bool> done{false};
-    std::thread step([&] {
-      while (!done.load()) server.poll_once(2);
-    });
-    auto result = call();
-    done.store(true);
-    step.join();
-    return result;
-  };
   std::vector<std::int64_t> ids;
   for (int i = 0; i < 3; ++i) {
-    const auto open = polled([&] {
+    const auto open = polled(server, [&] {
       return client.open(open_request_for(served.dataset, "zipnet"));
     });
     ASSERT_EQ(open.status, Status::kOk);
@@ -606,7 +611,7 @@ TEST(Server, NonFiniteFrameAnsweredWithErrorAndRoundServed) {
     ASSERT_EQ(server.front_door_stats().pushes, sent);
     server.drain();
     for (int i = 0; i < (t == 3 ? 3 : 2); ++i) {
-      const auto resp = polled([&] { return client.poll_push(2000); });
+      const auto resp = polled(server, [&] { return client.poll_push(2000); });
       ASSERT_TRUE(resp.has_value());
       if (resp->session == c) {
         EXPECT_EQ(resp->status, Status::kError);
@@ -642,6 +647,61 @@ TEST(Server, NonFiniteFrameAnsweredWithErrorAndRoundServed) {
     expect_bitwise(wire_a[i], *out[0], "co-drained session a");
     expect_bitwise(wire_b[i], *out[1], "co-drained session b");
   }
+}
+
+TEST(Server, FailedPassAnswersEveryCoDrainedPushWithError) {
+  PoolGuard guard;
+  ServedEngine served;
+  auto flaky = std::make_shared<serving::ThrowingModel>(
+      std::make_shared<serving::ZipNetModel>(served.pipeline.generator()));
+  served.engine.register_model("flaky", flaky);
+  Server server(served.engine, ServerConfig{});
+  server.set_auto_drain(false);  // a round drains only when the test says
+  Client client("127.0.0.1", server.port());
+  constexpr int kSessions = 3;
+  std::vector<std::int64_t> ids;
+  for (int i = 0; i < kSessions; ++i) {
+    const auto open = polled(server, [&] {
+      return client.open(open_request_for(served.dataset, "flaky"));
+    });
+    ASSERT_EQ(open.status, Status::kOk);
+    ids.push_back(open.session);
+  }
+
+  // One round per interval, every session in it; round 3's pass throws.
+  constexpr int kRounds = 5;
+  constexpr int kFailing = 3;
+  std::int64_t sent = 0;
+  for (int t = 0; t < kRounds; ++t) {
+    if (t == kFailing) flaky->fail_after(0);
+    for (int i = 0; i < kSessions; ++i) {
+      client.send_push(ids[static_cast<std::size_t>(i)],
+                       served.dataset.frame(t + i));
+    }
+    sent += kSessions;
+    for (int k = 0; k < 400 && server.front_door_stats().pushes < sent; ++k) {
+      server.poll_once(5);
+    }
+    ASSERT_EQ(server.front_door_stats().pushes, sent);
+    server.drain();
+    for (int i = 0; i < kSessions; ++i) {
+      const auto resp = polled(server, [&] { return client.poll_push(2000); });
+      ASSERT_TRUE(resp.has_value());
+      if (t == kFailing) {
+        EXPECT_EQ(resp->status, Status::kError);
+        EXPECT_NE(resp->error.find(serving::ThrowingModel::kMessage),
+                  std::string::npos)
+            << resp->error;
+      } else if (t >= 2) {
+        EXPECT_EQ(resp->status, Status::kOk) << resp->error;
+      } else {
+        EXPECT_EQ(resp->status, Status::kWarmup);
+      }
+    }
+  }
+  const auto fd = server.front_door_stats();
+  EXPECT_EQ(fd.errors, kSessions);
+  EXPECT_EQ(fd.served, kSessions * (kRounds - 3));
 }
 
 TEST(Server, GarbageFramesCutTheConnection) {

@@ -653,19 +653,24 @@ TEST(ServingInt8, SteadyStateZeroArenaGrowth) {
                                        8, 3)));
   serving::SessionConfig config = serving::SessionConfig::from_dataset(
       "zipnet-int8", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 2;  // 9 windows -> 5 blocks: both arena slots in play
+  config.block = 2;  // 9 windows -> 5 blocks of 2, 2, 2, 2 and 1 windows
   const auto id = engine.open_session(config);
+  // Every pass of the session runs in its shard's arena.
+  const auto shard_arena = [&] {
+    return engine.stats().shards.at(
+        static_cast<std::size_t>(engine.session(id).shard())).arena;
+  };
 
   for (std::int64_t t = 0; t < 3; ++t) {
     (void)engine.push(id, dataset.frame(t));
   }
-  const Workspace::Stats warm = engine.session(id).arena_stats();
+  const Workspace::Stats warm = shard_arena();
   EXPECT_GT(warm.capacity_bytes, 0);
 
   for (std::int64_t t = 3; t < 8; ++t) {
     ASSERT_TRUE(engine.push(id, dataset.frame(t)).has_value());
   }
-  const Workspace::Stats after = engine.session(id).arena_stats();
+  const Workspace::Stats after = shard_arena();
   EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
   EXPECT_EQ(after.growth_events, warm.growth_events);
   EXPECT_EQ(after.live_bytes, 0);

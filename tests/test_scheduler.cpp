@@ -3,8 +3,9 @@
 // dedup/memoization for fan-out consumers (bitwise-equal frames, content
 // guarding), checkpoint hot-reload (block-boundary swap, mismatch
 // diagnostics, failure leaving the old model bit-identical, concurrent
-// reload with zero dropped/duplicated blocks), and the scheduler telemetry
-// surface.
+// reload with zero dropped/duplicated blocks), zero arena growth across
+// pass compositions, a model that throws mid-pass, and the scheduler
+// telemetry surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,6 +22,7 @@
 #include "src/serving/engine.hpp"
 #include "src/serving/model.hpp"
 #include "src/serving/scheduler.hpp"
+#include "tests/throwing_model.hpp"
 
 namespace mtsr::serving {
 namespace {
@@ -553,53 +555,181 @@ TEST(Scheduler, ConcurrentReloadDropsNoBlocks) {
 
 TEST(Scheduler, FuseCapShapesThePasses) {
   PoolGuard guard;
-  // The cap-0 whole-round histogram counts every session in one pass,
-  // which holds exactly when they share a shard.
+  // Fusion needs the sessions on one shard.
   set_num_shards(1);
   data::TrafficDataset dataset = small_dataset(519);
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
-  auto model = std::make_shared<ZipNetModel>(pipeline.generator());
-
-  auto histogram_for = [&](std::int64_t cap) {
-    Engine engine;
-    engine.register_model("zipnet", model);
-    engine.set_fuse_cap(cap);
-    std::vector<Engine::SessionId> ids;
-    for (int i = 0; i < 4; ++i) {
-      ids.push_back(engine.open_session(stream_config(dataset)));
-    }
-    for (std::int64_t t = 0; t < 3; ++t) {
-      std::vector<Tensor> frames;
-      for (int i = 0; i < 4; ++i) frames.push_back(dataset.frame(t + i));
-      (void)engine.push_all(ids, frames);
-    }
-    return engine.stats().scheduler;
-  };
+  Engine engine;
+  engine.register_model("zipnet",
+                        std::make_shared<ZipNetModel>(pipeline.generator()));
+  std::vector<Engine::SessionId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(engine.open_session(stream_config(dataset)));
+  }
+  for (std::int64_t t = 0; t < 3; ++t) {
+    std::vector<Tensor> frames;
+    for (int i = 0; i < 4; ++i) frames.push_back(dataset.frame(t + i));
+    (void)engine.push_all(ids, frames);
+  }
+  const SchedulerStats s = engine.stats().scheduler;
 
   // 9 windows per session in blocks of 2: rounds enqueue 4x2 windows, the
-  // last round 4x1. Cap 4 packs pairs of sessions; cap 0 fuses whole
-  // rounds; cap 1 degenerates to per-session passes.
-  const SchedulerStats cap4 = histogram_for(4);
-  for (std::size_t b = 5; b < cap4.fused_histogram.size(); ++b) {
-    EXPECT_EQ(cap4.fused_histogram[b], 0) << "cap 4 produced a pass of " << b;
+  // last round 4x1. The cap of 4 packs pairs of sessions.
+  ASSERT_EQ(SchedulerConfig::fuse_cap, 4);
+  for (std::size_t b = 5; b < s.fused_histogram.size(); ++b) {
+    EXPECT_EQ(s.fused_histogram[b], 0) << "cap 4 produced a pass of " << b;
   }
-  EXPECT_GT(cap4.fused_passes, 0);
-
-  const SchedulerStats cap0 = histogram_for(0);
-  ASSERT_GT(cap0.fused_histogram.size(), 8u);
-  EXPECT_GT(cap0.fused_histogram[8], 0);  // whole rounds fuse to 4x2
-
-  const SchedulerStats cap1 = histogram_for(1);
-  EXPECT_EQ(cap1.fused_passes, 0);
+  EXPECT_GT(s.fused_passes, 0);
   // Telemetry invariants: the histogram decomposes the pass/window totals.
-  for (const SchedulerStats& s : {cap4, cap0, cap1}) {
-    std::int64_t passes = 0, windows = 0;
-    for (std::size_t b = 0; b < s.fused_histogram.size(); ++b) {
-      passes += s.fused_histogram[b];
-      windows += static_cast<std::int64_t>(b) * s.fused_histogram[b];
+  std::int64_t passes = 0, windows = 0;
+  for (std::size_t b = 0; b < s.fused_histogram.size(); ++b) {
+    passes += s.fused_histogram[b];
+    windows += static_cast<std::int64_t>(b) * s.fused_histogram[b];
+  }
+  EXPECT_EQ(passes, s.passes);
+  EXPECT_EQ(windows, s.windows);
+}
+
+TEST(Scheduler, NoPassCompositionGrowsAnArenaAfterWarmUp) {
+  data::TrafficDataset dataset = small_dataset(526);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+  Engine engine;
+  engine.register_model("zipnet",
+                        std::make_shared<ZipNetModel>(pipeline.generator()));
+  // Four untagged sessions round-robin over the shards, so at one or two
+  // shards every shard holds two and their joint rounds reach the cap.
+  std::vector<Engine::SessionId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(engine.open_session(stream_config(dataset)));
+  }
+  // A stream-tagged pair: whichever consumer comes first in a call
+  // computes, the other is served from the memo.
+  const auto a = engine.open_session(stream_config(dataset, "zipnet", "pair"));
+  const auto b = engine.open_session(stream_config(dataset, "zipnet", "pair"));
+
+  // Every arena the engine reports, summed: each shard's and each
+  // session's.
+  const auto arenas = [&] {
+    const Engine::Stats stats = engine.stats();
+    Workspace::Stats total;
+    const auto add = [&total](const Workspace::Stats& s) {
+      total.capacity_bytes += s.capacity_bytes;
+      total.live_bytes += s.live_bytes;
+      total.growth_events += s.growth_events;
+    };
+    for (const Engine::ShardStats& s : stats.shards) add(s.arena);
+    for (const Engine::SessionStats& s : stats.sessions) add(s.arena);
+    return total;
+  };
+  std::int64_t t = 0;
+  const auto push = [&](const std::vector<Engine::SessionId>& who) {
+    std::vector<Tensor> frames;
+    for (std::size_t i = 0; i < who.size(); ++i) {
+      frames.push_back(dataset.frame(t + static_cast<std::int64_t>(i)));
     }
-    EXPECT_EQ(passes, s.passes);
-    EXPECT_EQ(windows, s.windows);
+    (void)engine.push_all(who, frames);
+    (void)engine.push_fused(t % 2 == 0 ? std::vector{a, b}
+                                       : std::vector{b, a},
+                            dataset.frame(t));
+    ++t;
+  };
+
+  // Warm-up: the four sessions together, so passes reach the cap.
+  for (int i = 0; i < 3; ++i) push(ids);
+  const Workspace::Stats warm = arenas();
+  ASSERT_GT(engine.stats().scheduler.fused_histogram.size(),
+            static_cast<std::size_t>(SchedulerConfig::fuse_cap));
+  EXPECT_GT(warm.capacity_bytes, 0);
+
+  // Every composition up to the cap: sessions alone, in pairs, in threes,
+  // all four, and the pair's computing consumer alternating.
+  push({ids[0]});
+  push({ids[1]});
+  push({ids[2], ids[3]});
+  push({ids[0], ids[1], ids[2]});
+  push({ids[3]});
+  push(ids);
+  const Workspace::Stats after = arenas();
+  EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
+  EXPECT_EQ(after.growth_events, warm.growth_events);
+  EXPECT_EQ(after.live_bytes, 0);
+}
+
+TEST(Scheduler, ThrowingPassUnwindsTheCallAndServingResumes) {
+  PoolGuard guard;
+  data::TrafficDataset dataset = small_dataset(527);
+  core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
+  auto inner = std::make_shared<ZipNetModel>(pipeline.generator());
+  constexpr int kSessions = 4;
+  const auto frames_at = [&](std::int64_t t) {
+    std::vector<Tensor> frames;
+    for (int i = 0; i < kSessions; ++i) frames.push_back(dataset.frame(t + i));
+    return frames;
+  };
+
+  for (const int shards : {1, 2}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    set_num_shards(shards);
+    auto model = std::make_shared<ThrowingModel>(inner);
+    Engine engine;
+    engine.register_model("zipnet", model);
+    Engine control;
+    control.register_model("zipnet", inner);
+    // Untagged sessions round-robin over the shards in the order they
+    // open: at two shards, each holds two of the engine's four.
+    std::vector<Engine::SessionId> ids, control_ids;
+    for (int i = 0; i < kSessions; ++i) {
+      ids.push_back(engine.open_session(stream_config(dataset)));
+    }
+    for (int i = 0; i < kSessions; ++i) {
+      control_ids.push_back(control.open_session(stream_config(dataset)));
+    }
+    std::int64_t t = 0;
+    for (; t < 3; ++t) {
+      (void)engine.push_all(ids, frames_at(t));
+      (void)control.push_all(control_ids, frames_at(t));
+    }
+    ASSERT_GT(engine.stats().scheduler.fused_passes, 0);
+    // Only the third call inferred, so this is every call's pass count.
+    const std::int64_t passes = engine.stats().scheduler.passes;
+
+    // The fourth pass throws with a shard mid-round: stitches are half
+    // accumulated and rows of the batch gathered. The last pass throws
+    // when, at two shards, the other shard has finished its sessions.
+    for (const std::int64_t fail_at : {std::int64_t{3}, passes - 1}) {
+      SCOPED_TRACE("failing pass " + std::to_string(fail_at));
+      std::vector<std::int64_t> counts;
+      for (const auto id : ids) {
+        counts.push_back(engine.session(id).inference_count());
+      }
+      model->fail_after(fail_at);
+      try {
+        (void)engine.push_all(ids, frames_at(t));
+        FAIL() << "expected the model's exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), ThrowingModel::kMessage);
+      }
+      (void)control.push_all(control_ids, frames_at(t));
+      ++t;
+
+      for (const Engine::ShardStats& s : engine.stats().shards) {
+        EXPECT_EQ(s.arena.live_bytes, 0) << "shard " << s.shard;
+      }
+      for (int i = 0; i < kSessions; ++i) {
+        EXPECT_EQ(engine.session(ids[i]).inference_count(), counts[i]);
+      }
+
+      // Every session kept the frame it admitted: the next call serves
+      // what a control fed the same frames serves.
+      const auto outs = engine.push_all(ids, frames_at(t));
+      const auto expected = control.push_all(control_ids, frames_at(t));
+      ++t;
+      for (int i = 0; i < kSessions; ++i) {
+        ASSERT_TRUE(outs[i].has_value());
+        ASSERT_TRUE(expected[i].has_value());
+        expect_bitwise(*outs[i], *expected[i], "after a failed pass");
+      }
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for the serving layer: engine/session lifecycle, warm-up
-// semantics, multi-session determinism (pool sizes, interleavings, overlap
-// on/off), predict_frame-vs-session output identity, per-session arena
-// telemetry and the zero-growth steady-state contract, baseline
-// interchangeability, and the load_generator architecture diagnostics.
+// semantics, multi-session determinism (pool sizes, interleavings),
+// predict_frame-vs-session output identity, shard arena telemetry and the
+// zero-growth steady-state contract, baseline interchangeability, and the
+// load_generator architecture diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -184,21 +184,19 @@ TEST(Session, NegativeBlockRejected) {
   EXPECT_EQ(engine.session_count(), 1);
 }
 
-TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
+TEST(Session, DeterministicAcrossPoolSizesAndInterleavings) {
   PoolGuard guard;
   data::TrafficDataset dataset = small_dataset(414);
   core::MtsrPipeline pipeline(small_pipeline_config(), dataset);
   auto model = std::make_shared<ZipNetModel>(pipeline.generator());
 
-  // Reference: pool size 1, sessions fed one after the other, no overlap.
-  auto run = [&](int threads, bool interleave,
-                 SessionConfig::Overlap overlap) {
+  // Reference: pool size 1, sessions fed one after the other.
+  auto run = [&](int threads, bool interleave) {
     set_num_threads(threads);
     Engine engine;
     engine.register_model("zipnet", model);
     SessionConfig config = SessionConfig::from_dataset(
         "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-    config.overlap = overlap;
     const auto a = engine.open_session(config);
     const auto b = engine.open_session(config);
     // Keyed (session, frame) so the comparison is independent of the order
@@ -223,7 +221,7 @@ TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
     return outputs;
   };
 
-  const auto reference = run(1, false, SessionConfig::Overlap::kOff);
+  const auto reference = run(1, false);
   ASSERT_EQ(reference.size(), 10u);  // slots; first 2 per session stay empty
 
   const int hw = []() {
@@ -232,16 +230,13 @@ TEST(Session, DeterministicAcrossPoolSizesInterleavingsAndOverlap) {
   }();
   for (int threads : {1, 2, hw}) {
     for (bool interleave : {false, true}) {
-      for (auto overlap :
-           {SessionConfig::Overlap::kOff, SessionConfig::Overlap::kOn}) {
-        const auto outputs = run(threads, interleave, overlap);
-        ASSERT_EQ(outputs.size(), reference.size());
-        for (std::size_t i = 0; i < outputs.size(); ++i) {
-          ASSERT_EQ(outputs[i].empty(), reference[i].empty());
-          if (outputs[i].empty()) continue;
-          expect_bitwise(outputs[i], reference[i],
-                         "engine output across pool/interleave/overlap");
-        }
+      const auto outputs = run(threads, interleave);
+      ASSERT_EQ(outputs.size(), reference.size());
+      for (std::size_t i = 0; i < outputs.size(); ++i) {
+        ASSERT_EQ(outputs[i].empty(), reference[i].empty());
+        if (outputs[i].empty()) continue;
+        expect_bitwise(outputs[i], reference[i],
+                       "engine output across pool/interleave");
       }
     }
   }
@@ -328,30 +323,37 @@ TEST(Session, SteadyStateServingHasZeroArenaGrowth) {
       "zipnet", std::make_shared<ZipNetModel>(pipeline.generator()));
   SessionConfig config = SessionConfig::from_dataset(
       "zipnet", data::MtsrInstance::kUp4, dataset, 8, 4);
-  config.block = 2;  // 9 windows -> 5 blocks: both arena slots in play
+  config.block = 2;  // 9 windows -> 5 blocks of 2, 2, 2, 2 and 1 windows
   const auto id = engine.open_session(config);
+  // Every pass of the session runs in its shard's arena.
+  const auto shard_arena = [&] {
+    return engine.stats().shards.at(
+        static_cast<std::size_t>(engine.session(id).shard())).arena;
+  };
 
-  // Warm-up: the first inference pushes both rotating arenas to their
-  // high-water capacity.
+  // Warm-up: the first inference pushes the shard arena to its high-water
+  // capacity.
   for (std::int64_t t = 0; t < 3; ++t) {
     (void)engine.push(id, dataset.frame(t));
   }
-  const Workspace::Stats warm = engine.session(id).arena_stats();
+  const Workspace::Stats warm = shard_arena();
   EXPECT_GT(warm.capacity_bytes, 0);
 
   for (std::int64_t t = 3; t < 8; ++t) {
     ASSERT_TRUE(engine.push(id, dataset.frame(t)).has_value());
   }
-  const Workspace::Stats after = engine.session(id).arena_stats();
+  const Workspace::Stats after = shard_arena();
   EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
   EXPECT_EQ(after.growth_events, warm.growth_events);
   EXPECT_EQ(after.live_bytes, 0);
-  EXPECT_GT(after.alloc_count, warm.alloc_count);  // the arenas were used
+  EXPECT_GT(after.alloc_count, warm.alloc_count);  // the arena was used
 
-  // The telemetry surface reports the same counters per session.
+  // The scheduler summary reports the same arena (only one shard served);
+  // the session owns none.
   const Engine::Stats stats = engine.stats();
   ASSERT_EQ(stats.sessions.size(), 1u);
-  EXPECT_EQ(stats.sessions[0].arena.capacity_bytes, after.capacity_bytes);
+  EXPECT_EQ(stats.scheduler.arena.capacity_bytes, after.capacity_bytes);
+  EXPECT_EQ(stats.sessions[0].arena.capacity_bytes, 0);
   EXPECT_EQ(stats.sessions[0].inference_count, 6);
   const std::string table = render_stats_table(stats);
   EXPECT_NE(table.find("zipnet"), std::string::npos);

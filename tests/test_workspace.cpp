@@ -374,21 +374,24 @@ TEST(AllocationRegression, SteadyStatePredictFrameHasZeroArenaGrowth) {
   core::MtsrPipeline pipeline(tiny_pipeline_config(), dataset);
   const std::int64_t t = dataset.test_range().begin + 2;
 
-  // Warm-up stitched full-frame prediction. Since the serving redesign the
-  // generator's scratch planes into predict_frame's session arenas (the
-  // rotating workspace pair), surfaced through Engine::stats().
+  // Warm-up stitched full-frame prediction. The generator's scratch planes
+  // into the arena of the shard serving predict_frame's session, surfaced
+  // through Engine::stats().
   Tensor first = pipeline.predict_frame(t);
   ASSERT_TRUE(first.all_finite());
 
-  auto session_arena = [&] {
-    return pipeline.engine().stats().sessions.at(0).arena;
+  auto shard_arena = [&] {
+    serving::Engine& engine = pipeline.engine();
+    const serving::Engine::Stats stats = engine.stats();
+    const int shard = engine.session(stats.sessions.at(0).id).shard();
+    return stats.shards.at(static_cast<std::size_t>(shard)).arena;
   };
-  const auto warm = session_arena();
+  const auto warm = shard_arena();
   for (int i = 0; i < 3; ++i) {
     Tensor pred = pipeline.predict_frame(t);
     ASSERT_EQ(pred.shape(), first.shape());
   }
-  const auto after = session_arena();
+  const auto after = shard_arena();
   EXPECT_EQ(after.capacity_bytes, warm.capacity_bytes);
   EXPECT_EQ(after.growth_events, warm.growth_events);
   EXPECT_EQ(after.live_bytes, warm.live_bytes);
